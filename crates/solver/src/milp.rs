@@ -14,8 +14,13 @@
 //!   via `pdftsp_cluster::parallel_map`. In deterministic mode (the
 //!   default) speculative results are applied strictly in best-bound pop
 //!   order, so any wave width reproduces the `wave = 1` incumbent/bound
-//!   trajectory bit for bit; non-deterministic mode applies every
-//!   speculated result immediately for throughput.
+//!   trajectory bit for bit whenever only [`MilpConfig::node_limit`] ends
+//!   the search (it finishes, or stops at the same node count). A binding
+//!   wall-clock [`MilpConfig::time_limit_secs`] voids this: each width
+//!   stops at whatever node the clock allows, so the open-node bound of a
+//!   `Feasible`/`BoundOnly` outcome may differ between runs.
+//!   Non-deterministic mode applies every speculated result immediately
+//!   for throughput.
 //! * [`Milp::solve_reference`] — the seed-state sequential engine over
 //!   the dense tableau ([`crate::dense`]), retained verbatim as the
 //!   equivalence oracle for tests and `bench_milp`.
@@ -60,7 +65,10 @@ pub struct Milp {
 pub struct MilpConfig {
     /// Maximum number of branch-and-bound nodes to process.
     pub node_limit: usize,
-    /// Wall-clock limit in seconds.
+    /// Wall-clock limit in seconds (`f64::INFINITY` disables it). Where
+    /// the search stops under this limit depends on the machine, its load
+    /// and the build profile, so a binding time limit makes the outcome
+    /// non-reproducible; use `node_limit` for a reproducible budget.
     pub time_limit_secs: f64,
     /// Integrality tolerance.
     pub int_tol: f64,
@@ -71,8 +79,11 @@ pub struct MilpConfig {
     /// When `true` (the default), speculative wave results are applied
     /// strictly in best-bound pop order, so the search trajectory —
     /// incumbents, bounds, node counts — is identical for every `wave`
-    /// width. When `false`, every speculated node is applied as soon as
-    /// its wave completes (more progress per wave, trajectory may differ).
+    /// width, provided the search ends on its own or at `node_limit`. If
+    /// `time_limit_secs` ends it, each width stops at whatever node the
+    /// clock allows and the outcomes may differ. When `false`, every
+    /// speculated node is applied as soon as its wave completes (more
+    /// progress per wave, trajectory may differ).
     pub deterministic: bool,
 }
 

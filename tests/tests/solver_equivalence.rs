@@ -1,9 +1,11 @@
 //! Solver equivalence suite: the overhauled sparse warm-started
 //! simplex / wave-parallel branch-and-bound against the retained dense
 //! reference engine, on both synthetic programs and real offline
-//! encodings. CI runs this in release mode (see `.github/workflows/
-//! ci.yml`) — it is the machine-checked half of the `BENCH_milp.json`
-//! speedup claim: fast means nothing if the answers drift.
+//! encodings. It runs in the debug profile with the workspace tests
+//! (`cargo test`) and again in release mode in CI (see
+//! `.github/workflows/ci.yml`) — it is the machine-checked half of the
+//! `BENCH_milp.json` speedup claim: fast means nothing if the answers
+//! drift.
 
 use pdftsp_solver::milp::{MilpConfig, MilpOutcome};
 use pdftsp_solver::offline::{offline_optimum, offline_optimum_reference};
@@ -125,17 +127,25 @@ fn optimized_milp_matches_reference_on_offline_encodings() {
 fn deterministic_wave_reproduces_sequential_trajectory_bitwise() {
     // The acceptance criterion: any wave width in deterministic mode
     // replays the wave=1 search — identical outcome, bit for bit.
+    //
+    // The wall clock is disabled so that `node_limit` is the only limit:
+    // the 30 s default binds at seed 5 / node_limit 20_000 in the debug
+    // profile, and a clock cutoff stops each run at a load-dependent node,
+    // so the open-node bound of the `Feasible` outcome differs between
+    // runs. Determinism is promised only for node-limited searches.
     for seed in [5u64, 17, 29] {
         let enc = encode_offline(&tiny(seed, 10, 0.5));
         for node_limit in [4usize, 32, 20_000] {
             let seq = enc.milp.solve(&MilpConfig {
                 node_limit,
+                time_limit_secs: f64::INFINITY,
                 wave: 1,
                 ..MilpConfig::default()
             });
             for wave in [2usize, 4, 8] {
                 let par = enc.milp.solve(&MilpConfig {
                     node_limit,
+                    time_limit_secs: f64::INFINITY,
                     wave,
                     ..MilpConfig::default()
                 });
