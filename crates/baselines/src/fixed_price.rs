@@ -1,7 +1,7 @@
 //! Posted-fixed-price mechanism — the paper's motivating foil.
 //!
 //! The introduction argues that "the de facto fixed pricing, as adopted by
-//! some providers, often fail[s] to meet these requirements" (profitability
+//! some providers, often fail\[s\] to meet these requirements" (profitability
 //! plus agile adaptation to demand and supply). This baseline implements
 //! that de facto mechanism so the claim is measurable:
 //!

@@ -1,21 +1,19 @@
 //! Emits `BENCH_minplus.json` at the repo root: raw throughput of the
-//! min-plus row primitive ([`kernel::apply_candidate`]) alone, scalar vs
-//! SIMD, across row widths chosen to cover full-lane rows, sub-lane rows,
-//! and non-lane-multiple tails.
+//! min-plus row primitive ([`kernel::apply_candidate`]) alone, against
+//! the straight-line branchy loop it replaces, across row widths chosen
+//! to cover full-lane rows, sub-lane rows, and non-lane-multiple tails.
 //!
 //! The scheduler-level figure (`bench_sched`) measures the kernel buried
 //! under grid builds, pruning, and pricing; this bin isolates the inner
 //! loop so a kernel regression cannot hide behind the rest of the
 //! pipeline. Each width also runs through the criterion shim for a
-//! human-readable latency line.
-//!
-//! Build with `--features simd` on nightly to bench the vector path; on
-//! stable the SIMD column reports the scalar fallback (and says so via
-//! the `kernel` field).
+//! human-readable latency line. The JSON records which compiled copy of
+//! the kernel ran (`isa`: `avx2` or `baseline`) and the host's
+//! `hardware_threads`.
 
 use criterion::Criterion;
-use pdftsp_core::kernel::{self, KernelKind};
-use pdftsp_core::KernelChoice;
+use pdftsp_cluster::hardware_threads;
+use pdftsp_core::kernel::{self, Isa};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -27,7 +25,7 @@ use std::time::Instant;
 const WIDTHS: &[usize] = &[7, 8, 31, 36, 100, 256, 1001];
 /// Candidates applied per row — a realistic pruned Pareto front.
 const CANDIDATES: usize = 12;
-/// Timed repetitions per (width, kernel) measurement.
+/// Timed repetitions per (width, implementation) measurement.
 const REPS: usize = 2000;
 
 /// One synthetic row workload: a previous DP row (with a sprinkling of
@@ -71,14 +69,13 @@ impl RowCase {
         }
     }
 
-    /// Applies every candidate to a reset row; returns a value to keep
-    /// the optimizer honest.
-    fn run(&mut self, kind: KernelKind) -> f64 {
+    /// Applies every candidate to a reset row with `kernel`; returns a
+    /// value to keep the optimizer honest.
+    fn run(&mut self, kernel: Kernel) -> f64 {
         self.cur.fill(f64::INFINITY);
         self.crow.fill(0);
         for &(gain, delta, tag) in &self.cands {
-            kernel::apply_candidate(
-                kind,
+            kernel(
                 &self.prev,
                 &mut self.cur,
                 &mut self.crow,
@@ -91,16 +88,51 @@ impl RowCase {
         }
         self.cur[self.w_hi]
     }
+
+    /// The whole row state, as bits, for the equivalence check.
+    fn state(&self) -> (Vec<u64>, Vec<u16>) {
+        (
+            self.cur.iter().map(|v| v.to_bits()).collect(),
+            self.crow.clone(),
+        )
+    }
 }
 
-/// Median-of-reps cells/s for one (width, kernel) pair.
-fn throughput(case: &mut RowCase, kind: KernelKind) -> f64 {
+/// A row-update implementation under test.
+type Kernel = fn(&[f64], &mut [f64], &mut [u16], usize, usize, usize, f64, u16);
+
+/// The straight-line branchy loop the kernel replaced: the baseline of
+/// every speedup below.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn straight_line(
+    prev: &[f64],
+    cur: &mut [f64],
+    crow: &mut [u16],
+    w_lo: usize,
+    w_hi: usize,
+    gain: usize,
+    delta: f64,
+    tag: u16,
+) {
+    for w in w_lo..=w_hi {
+        let source = if w < gain { prev[0] } else { prev[w - gain] };
+        let cand = source + delta;
+        if cand < cur[w] {
+            cur[w] = cand;
+            crow[w] = tag;
+        }
+    }
+}
+
+/// Median-of-reps cells/s for one (width, implementation) pair.
+fn throughput(case: &mut RowCase, kernel: Kernel) -> f64 {
     let cells = (CANDIDATES * (case.w_hi + 1)) as f64;
-    black_box(case.run(kind)); // warm-up
+    black_box(case.run(kernel)); // warm-up
     let mut samples: Vec<f64> = (0..REPS)
         .map(|_| {
             let t0 = Instant::now();
-            black_box(case.run(kind));
+            black_box(case.run(kernel));
             t0.elapsed().as_secs_f64()
         })
         .collect();
@@ -109,43 +141,44 @@ fn throughput(case: &mut RowCase, kind: KernelKind) -> f64 {
 }
 
 fn main() {
-    let simd = KernelChoice::Simd.resolve().kind;
+    let isa = Isa::detected();
     let mut rng = StdRng::seed_from_u64(0xBE7C);
     let mut crit = Criterion::default();
     let mut rows = Vec::new();
     for &width in WIDTHS {
         let mut case = RowCase::new(width, &mut rng);
 
-        // Sanity: both kernels must produce the same bits before either
-        // throughput number means anything.
-        let scalar_out = case.run(KernelKind::Scalar).to_bits();
-        let simd_out = case.run(simd).to_bits();
-        assert_eq!(scalar_out, simd_out, "width {width}: kernels diverged");
+        // Sanity: both implementations must leave the same row bits
+        // before either throughput number means anything.
+        case.run(straight_line);
+        let want = case.state();
+        case.run(kernel::apply_candidate);
+        assert!(case.state() == want, "width {width}: kernel diverged");
 
-        let scalar_cps = throughput(&mut case, KernelKind::Scalar);
-        let simd_cps = throughput(&mut case, simd);
-        let speedup = simd_cps / scalar_cps.max(1e-12);
+        let loop_cps = throughput(&mut case, straight_line);
+        let kernel_cps = throughput(&mut case, kernel::apply_candidate);
+        let speedup = kernel_cps / loop_cps.max(1e-12);
         println!(
-            "width {width:>4}: scalar {scalar_cps:>12.0} cells/s | {} {simd_cps:>12.0} cells/s | {speedup:.2}x",
-            simd.name()
+            "width {width:>4}: straight-line {loop_cps:>12.0} cells/s | kernel ({}) {kernel_cps:>12.0} cells/s | {speedup:.2}x",
+            isa.name()
         );
-        crit.bench_function(&format!("minplus_row_w{width}_scalar"), |b| {
-            b.iter(|| case.run(KernelKind::Scalar));
+        crit.bench_function(&format!("minplus_row_w{width}_straight_line"), |b| {
+            b.iter(|| case.run(straight_line));
         });
-        crit.bench_function(&format!("minplus_row_w{width}_{}", simd.name()), |b| {
-            b.iter(|| case.run(simd));
+        crit.bench_function(&format!("minplus_row_w{width}_kernel"), |b| {
+            b.iter(|| case.run(kernel::apply_candidate));
         });
         rows.push(format!(
             concat!(
                 "    {{\"width\": {}, \"stride\": {}, \"candidates\": {}, ",
-                "\"scalar_cells_per_s\": {:.0}, \"simd_cells_per_s\": {:.0}, ",
+                "\"straight_line_cells_per_s\": {:.0}, \"kernel_cells_per_s\": {:.0}, ",
                 "\"speedup\": {:.3}}}"
             ),
             width,
             width.next_multiple_of(kernel::LANES),
             CANDIDATES,
-            scalar_cps,
-            simd_cps,
+            loop_cps,
+            kernel_cps,
             speedup
         ));
     }
@@ -155,9 +188,8 @@ fn main() {
             "  \"bench\": \"minplus_kernel\",\n",
             "  \"emitter\": \"bench_minplus\",\n",
             "  \"reps\": {},\n",
-            "  \"kernel\": \"{}\",\n",
-            "  \"simd_compiled\": {},\n",
-            "  \"simd_isa\": \"{}\",\n",
+            "  \"isa\": \"{}\",\n",
+            "  \"hardware_threads\": {},\n",
             "  \"lanes\": {},\n",
             "  \"rows\": [\n",
             "{}\n",
@@ -165,9 +197,8 @@ fn main() {
             "}}\n"
         ),
         REPS,
-        simd.name(),
-        kernel::simd_compiled(),
-        kernel::simd_isa(),
+        isa.name(),
+        hardware_threads(),
         kernel::LANES,
         rows.join(",\n")
     );

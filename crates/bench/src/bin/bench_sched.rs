@@ -13,10 +13,9 @@
 //! own wall-clock: the optimized pipeline's higher cells/s is exactly its
 //! decision-for-decision speedup, not a different workload.
 
-use pdftsp_cluster::{
-    configured_threads, effective_workers, hardware_threads, set_thread_override,
-};
-use pdftsp_core::{kernel, KernelChoice, Pdftsp, PdftspConfig};
+use pdftsp_cluster::{configured_threads, hardware_threads};
+use pdftsp_core::kernel::Isa;
+use pdftsp_core::{Pdftsp, PdftspConfig};
 use pdftsp_sim::run_scheduler;
 use pdftsp_telemetry::{SpanLog, Telemetry};
 use pdftsp_types::Scenario;
@@ -94,13 +93,6 @@ struct WorkStats {
     dp_cells_measured: u64,
     dp_early_exits: u64,
     grid_builds: u64,
-    simd_rows: u64,
-    scalar_tail_rows: u64,
-    fallback_dispatches: u64,
-    /// The row kernel the scheduler actually dispatched.
-    kernel: &'static str,
-    /// Worker threads the scheduler cached at construction.
-    threads: usize,
 }
 
 impl WorkStats {
@@ -115,11 +107,6 @@ impl WorkStats {
             dp_cells_measured: c.read(&c.dp_cells),
             dp_early_exits: c.read(&c.dp_early_exits),
             grid_builds: c.read(&c.grid_builds),
-            simd_rows: c.read(&c.simd_rows),
-            scalar_tail_rows: c.read(&c.scalar_tail_rows),
-            fallback_dispatches: c.read(&c.fallback_dispatches),
-            kernel: s.kernel().kind.name(),
-            threads: s.workers(),
         }
     }
 }
@@ -171,9 +158,7 @@ fn stats_json(s: &PipelineStats, cells: u64) -> String {
             "\"prune_hit_rate\": {:.4}, \"vendors_seen\": {}, ",
             "\"vendors_pruned\": {}, \"vendors_memoized\": {}, ",
             "\"dp_runs\": {}, \"dp_cells_measured\": {}, ",
-            "\"dp_early_exits\": {}, \"grid_builds\": {}, ",
-            "\"kernel\": \"{}\", \"threads\": {}, \"simd_rows\": {}, ",
-            "\"scalar_tail_rows\": {}, \"fallback_dispatches\": {}}}"
+            "\"dp_early_exits\": {}, \"grid_builds\": {}}}"
         ),
         s.p50_us,
         s.p99_us,
@@ -188,26 +173,14 @@ fn stats_json(s: &PipelineStats, cells: u64) -> String {
         w.dp_runs,
         w.dp_cells_measured,
         w.dp_early_exits,
-        w.grid_builds,
-        w.kernel,
-        w.threads,
-        w.simd_rows,
-        w.scalar_tail_rows,
-        w.fallback_dispatches
+        w.grid_builds
     )
 }
 
 fn market_json(name: &str, sc: &Scenario) -> String {
     let cells = dp_cell_model(sc);
     let opt = run_pipeline(sc, PdftspConfig::default());
-    // The straight-line reference is scalar by construction; pin the
-    // config so its reported `kernel` field says what actually ran.
-    let reference = run_pipeline(
-        sc,
-        PdftspConfig::default()
-            .reference()
-            .with_kernel(KernelChoice::Scalar),
-    );
+    let reference = run_pipeline(sc, PdftspConfig::default().reference());
     // Decision equivalence holds end-to-end; a drift here means a bug.
     assert_eq!(
         opt.welfare.to_bits(),
@@ -240,40 +213,6 @@ fn market_json(name: &str, sc: &Scenario) -> String {
         speedup_p50,
         speedup_mean
     )
-}
-
-/// Vendor-scaling sweep: rerun the multi-vendor market with the worker
-/// count forced to each value, proving the un-gated parallel branch both
-/// engages and stays decision-deterministic (order-preserving merge).
-fn vendor_scaling_json(sc: &Scenario) -> String {
-    let mut rows = Vec::new();
-    let mut welfare_bits: Option<u64> = None;
-    for threads in [1usize, 2, 4] {
-        set_thread_override(Some(threads));
-        let s = run_pipeline(sc, PdftspConfig::default());
-        set_thread_override(None);
-        assert_eq!(s.work.threads, threads, "override not honoured");
-        match welfare_bits {
-            None => welfare_bits = Some(s.welfare.to_bits()),
-            Some(bits) => assert_eq!(
-                bits,
-                s.welfare.to_bits(),
-                "vendor scaling changed decisions at {threads} threads"
-            ),
-        }
-        println!(
-            "vendor_scaling threads {threads}: mean {:.1} µs p50 {:.1} µs",
-            s.mean_us, s.p50_us
-        );
-        rows.push(format!(
-            concat!(
-                "      {{\"threads\": {}, \"mean_us\": {:.3}, \"p50_us\": {:.3}, ",
-                "\"p99_us\": {:.3}, \"total_s\": {:.6}}}"
-            ),
-            threads, s.mean_us, s.p50_us, s.p99_us, s.total_s
-        ));
-    }
-    rows.join(",\n")
 }
 
 /// Measured cost of turning the span path ON: the multi-vendor day with
@@ -319,12 +258,11 @@ fn main() {
     const MULTI_VENDORS: usize = 8;
     let single = scenario(0.0, 5);
     let multi = scenario(1.0, MULTI_VENDORS);
-    // True host parallelism and the worker count actually configured for
-    // this run (`PDFTSP_THREADS` override included) — no bench gating.
+    // The host shape the numbers come from: true hardware parallelism,
+    // the worker count configured for this run (`PDFTSP_THREADS`
+    // override included), and the DP kernel copy that ran.
     let hw_threads = hardware_threads();
     let threads = configured_threads();
-    let vendor_threads = effective_workers(MULTI_VENDORS);
-    let dispatch = PdftspConfig::default().kernel.resolve();
     let body = format!(
         concat!(
             "{{\n",
@@ -333,19 +271,11 @@ fn main() {
             "  \"reps\": {},\n",
             "  \"hardware_threads\": {},\n",
             "  \"configured_threads\": {},\n",
-            "  \"parallel_vendor_threads\": {},\n",
-            "  \"kernel\": \"{}\",\n",
-            "  \"simd_compiled\": {},\n",
-            "  \"simd_isa\": \"{}\",\n",
+            "  \"isa\": \"{}\",\n",
             "  \"scenario\": {{\"horizon\": 36, \"nodes\": 20, \"mean_arrivals_per_slot\": 6.0, \"seed\": 4242}},\n",
             "  \"markets\": {{\n",
             "{},\n",
             "{}\n",
-            "  }},\n",
-            "  \"vendor_scaling\": {{\n",
-            "    \"multi_vendor\": [\n",
-            "{}\n",
-            "    ]\n",
             "  }},\n",
             "  \"span_overhead\": {{\n",
             "{}\n",
@@ -355,13 +285,9 @@ fn main() {
         REPS,
         hw_threads,
         threads,
-        vendor_threads,
-        dispatch.kind.name(),
-        kernel::simd_compiled(),
-        kernel::simd_isa(),
+        Isa::detected().name(),
         market_json("single_vendor", &single),
         market_json("multi_vendor", &multi),
-        vendor_scaling_json(&multi),
         span_overhead_json(&multi)
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");

@@ -1,7 +1,7 @@
 //! Posted-price frontier: sweeps the static price of the de facto
 //! fixed-pricing mechanism and shows the whole welfare/revenue frontier
 //! sitting below the pdFTSP auction — the quantitative version of the
-//! paper's introduction claim that fixed pricing "often fail[s] to meet
+//! paper's introduction claim that fixed pricing "often fail\[s\] to meet
 //! these requirements". Pass `--full` for paper scale.
 
 use pdftsp_baselines::{FixedPrice, FixedPriceConfig};

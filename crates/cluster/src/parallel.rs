@@ -1,8 +1,7 @@
 //! Persistent deterministic worker pool for independent work items.
 //!
-//! Each work item (a vendor candidate in the scheduler hot path, a
-//! "build scenario, run scheduler" job in experiment sweeps, or a shard
-//! proposal in the auction service) is independent: no shared mutable
+//! Each work item (a "build scenario, run scheduler" job in experiment
+//! sweeps, or a shard proposal in the auction service) is independent: no shared mutable
 //! state, so data-race freedom by construction. Work is pulled from an
 //! atomic claim counter so uneven item costs (Titan's MILPs vs. EFT's
 //! greedy) balance automatically.
@@ -19,7 +18,7 @@
 //!   or interleaving.
 //! * **Caller-runs submission** — the submitting thread always works on
 //!   its own batch alongside the pool. Nested submission (a
-//!   `ratio_sweep` item that itself runs a vendor sweep) therefore
+//!   `ratio_sweep` item that itself runs a parallel solve) therefore
 //!   cannot deadlock even when every pool thread is busy: the submitter
 //!   drains its own batch unaided in the worst case.
 //! * **Panic containment** — a panicking work item is caught at the

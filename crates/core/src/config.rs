@@ -1,7 +1,5 @@
 //! Configuration of the pdFTSP algorithm.
 
-use crate::kernel::KernelChoice;
-
 /// How the dual-update multipliers `α` and `β` of Eqs. (7)–(8) are chosen.
 ///
 /// Lemma 2 sets `α = max_i b_i/M_i` and `β = max_i b_i/r_i` — offline
@@ -119,9 +117,8 @@ pub enum EvalPipeline {
     Reference,
     /// The production path (default): one shared delta grid per arrival,
     /// a reusable DP arena, admission pruning from column-minima bounds,
-    /// early DP-row termination, and (above
-    /// [`PdftspConfig::parallel_vendor_min`] surviving vendors) parallel
-    /// vendor evaluation.
+    /// early DP-row termination, and a sequential vendor loop with an
+    /// incumbent skip and a start-slot memo.
     Optimized,
 }
 
@@ -204,20 +201,6 @@ pub struct PdftspConfig {
     pub pricing: PricingRule,
     /// Which evaluation pipeline handles arrivals.
     pub pipeline: EvalPipeline,
-    /// Minimum number of admission-surviving vendors before their DPs run
-    /// under the scoped parallel map; below it the sequential loop (which
-    /// additionally skips vendors that cannot beat the incumbent) is
-    /// faster. The paper's scenarios quote ≤ 5 vendors per task, so the
-    /// default keeps them sequential; vendor-rich markets cross it. A
-    /// value at the floor (≤ 2) forces the parallel branch even on a
-    /// single hardware thread (tests use this); larger values also
-    /// require more than one hardware thread at scheduler construction.
-    pub parallel_vendor_min: usize,
-    /// Which min-plus row kernel the DP dispatches (scalar or SIMD; both
-    /// bit-identical). Resolved once at scheduler construction;
-    /// [`KernelChoice::Auto`] honours the `PDFTSP_KERNEL` environment
-    /// override and otherwise takes SIMD whenever the build carries it.
-    pub kernel: KernelChoice,
     /// Optional prediction-driven dual pre-heating (spot scenarios).
     /// `None` (default) keeps Algorithm 1's zero-initialized duals.
     pub preheat: Option<PreheatSpec>,
@@ -236,8 +219,6 @@ impl Default for PdftspConfig {
             capacity_policy: CapacityPolicy::MaskSaturated,
             pricing: PricingRule::WithEnergy,
             pipeline: EvalPipeline::Optimized,
-            parallel_vendor_min: 8,
-            kernel: KernelChoice::Auto,
             preheat: None,
         }
     }
@@ -272,21 +253,6 @@ impl PdftspConfig {
         }
     }
 
-    /// Overrides the parallel-vendor threshold.
-    #[must_use]
-    pub fn with_parallel_vendor_min(self, parallel_vendor_min: usize) -> Self {
-        PdftspConfig {
-            parallel_vendor_min,
-            ..self
-        }
-    }
-
-    /// Selects the DP row kernel.
-    #[must_use]
-    pub fn with_kernel(self, kernel: KernelChoice) -> Self {
-        PdftspConfig { kernel, ..self }
-    }
-
     /// Enables prediction-driven dual pre-heating.
     #[must_use]
     pub fn with_preheat(self, preheat: PreheatSpec) -> Self {
@@ -307,11 +273,6 @@ mod tests {
         assert_eq!(c.capacity_policy, CapacityPolicy::MaskSaturated);
         assert_eq!(c.pricing, PricingRule::WithEnergy);
         assert!(c.compute_unit > 0.0);
-        assert_eq!(c.kernel, KernelChoice::Auto);
-        assert_eq!(
-            c.with_kernel(KernelChoice::Scalar).kernel,
-            KernelChoice::Scalar
-        );
     }
 
     #[test]
@@ -329,10 +290,8 @@ mod tests {
     fn default_pipeline_is_optimized_with_reference_opt_out() {
         let c = PdftspConfig::default();
         assert_eq!(c.pipeline, EvalPipeline::Optimized);
-        assert!(c.parallel_vendor_min >= 2);
         let r = c.reference();
         assert_eq!(r.pipeline, EvalPipeline::Reference);
         assert_eq!(r.capacity_policy, c.capacity_policy);
-        assert_eq!(c.with_parallel_vendor_min(3).parallel_vendor_min, 3);
     }
 }

@@ -28,18 +28,18 @@
 //! once the running optimum meets the column-minima lower bound. The
 //! value/choice tables live in a flat, slot-major, *padded* slab: each
 //! row is `stride = cols.next_multiple_of(LANES)` wide so every row
-//! starts lane-aligned and the [`crate::kernel`] min-plus row kernel
-//! (scalar or `std::simd`, selected per arena) can run full-width vector
-//! updates without straddling rows. [`find_schedule_reference`] is the
-//! straight-line implementation kept as the equivalence oracle: both
-//! produce bit-identical costs and placements (see the unit tests here
-//! and `tests/pipeline_equivalence.rs` for the proofs-by-execution;
-//! `tests/dp_kernel_equivalence.rs` additionally pins SIMD against
-//! scalar).
+//! starts lane-aligned and the [`crate::kernel`] min-plus row kernel can
+//! run full-width vector updates without straddling rows.
+//! [`find_schedule_reference`] is the straight-line implementation kept
+//! as the equivalence oracle: both produce bit-identical costs and
+//! placements (see the unit tests here and
+//! `tests/pipeline_equivalence.rs` for the proofs-by-execution;
+//! `tests/dp_kernel_equivalence.rs` additionally pins the kernel against
+//! a straight-line loop).
 
 use crate::duals::DualState;
 use crate::grid::{DeltaGrid, LB_SLACK};
-use crate::kernel::{self, KernelDispatch, KernelKind};
+use crate::kernel::{self, Isa};
 use pdftsp_cluster::CapacityLedger;
 use pdftsp_telemetry::{Event, Telemetry};
 use pdftsp_types::{NodeId, Scenario, Slot, Task};
@@ -68,33 +68,15 @@ struct DpWork {
     rows: usize,
     cells: u64,
     early_exit: bool,
-    /// Rows where at least one candidate update ran full SIMD lanes.
-    simd_rows: u64,
-    /// Rows where the SIMD kernel fell through to scalar tail cells.
-    tail_rows: u64,
 }
 
-/// Counts and emits one completed `findSchedule` invocation. `fallback`
-/// marks an invocation that wanted SIMD but ran the scalar kernel (build
-/// without the `simd` feature).
-fn record_dp_run(
-    ctx: &DpContext<'_>,
-    task: &Task,
-    start: Slot,
-    work: DpWork,
-    feasible: bool,
-    fallback: bool,
-) {
+/// Counts and emits one completed `findSchedule` invocation.
+fn record_dp_run(ctx: &DpContext<'_>, task: &Task, start: Slot, work: DpWork, feasible: bool) {
     let Some(tel) = ctx.telemetry else { return };
     let c = &tel.counters;
     c.bump(&c.dp_runs, 1);
     c.bump(&c.dp_rows, work.rows as u64);
     c.bump(&c.dp_cells, work.cells);
-    c.bump(&c.simd_rows, work.simd_rows);
-    c.bump(&c.scalar_tail_rows, work.tail_rows);
-    if fallback {
-        c.bump(&c.fallback_dispatches, 1);
-    }
     if work.early_exit {
         c.bump(&c.dp_early_exits, 1);
     }
@@ -126,8 +108,6 @@ pub struct DpResult {
 /// per-arrival evaluation allocates only the output placements.
 #[derive(Debug, Default)]
 pub struct DpBuffers {
-    /// The row kernel this arena dispatches (resolved once, not per call).
-    kernel: KernelDispatch,
     /// Flat slot-major slab: `dp[t·stride + w]` = min cost to accumulate
     /// ≥ `w` units by row `t`, with `stride = cols` rounded up to
     /// [`kernel::LANES`] so every row starts lane-aligned. Padding cells
@@ -145,35 +125,6 @@ pub struct DpBuffers {
     pub(crate) col_scratch: Vec<f64>,
 }
 
-impl DpBuffers {
-    /// An arena that dispatches the given row kernel.
-    #[must_use]
-    pub fn with_kernel(kernel: KernelDispatch) -> Self {
-        Self {
-            kernel,
-            ..Self::default()
-        }
-    }
-
-    /// Re-targets the arena's row kernel (takes effect next call).
-    pub fn set_kernel(&mut self, kernel: KernelDispatch) {
-        self.kernel = kernel;
-    }
-
-    /// The kernel this arena dispatches.
-    #[must_use]
-    pub fn kernel(&self) -> KernelDispatch {
-        self.kernel
-    }
-
-    /// The raw value slab after the last DP call (diagnostic/test hook:
-    /// the kernel-equivalence suite compares slabs bit-for-bit).
-    #[must_use]
-    pub fn table(&self) -> &[f64] {
-        &self.dp
-    }
-}
-
 /// Everything one scheduler instance reuses across arrivals: the shared
 /// delta grid plus the DP arena.
 #[derive(Debug, Default)]
@@ -182,17 +133,6 @@ pub struct EvalScratch {
     pub grid: DeltaGrid,
     /// The DP work area.
     pub bufs: DpBuffers,
-}
-
-impl EvalScratch {
-    /// Scratch whose grid build and DP sweep both dispatch `kernel`.
-    #[must_use]
-    pub fn with_kernel(kernel: KernelDispatch) -> Self {
-        let mut scratch = Self::default();
-        scratch.bufs.set_kernel(kernel);
-        scratch.grid.set_kernel(kernel.kind);
-        scratch
-    }
 }
 
 /// Runs `findSchedule` for `task` with execution window `[start, d_i]`.
@@ -253,7 +193,7 @@ pub fn find_schedule_on_grid(
         }
     }
     let feasible = result.is_some();
-    record_dp_run(ctx, task, start, work, feasible, bufs.kernel.fallback);
+    record_dp_run(ctx, task, start, work, feasible);
     result
 }
 
@@ -332,7 +272,7 @@ fn dp_on_grid(
     // build; dropping a dominated node never changes a cell or a choice
     // tag (see the grid module docs), and the grid's raw-rate dominance
     // only ever keeps a superset of the quantized front.
-    let kind = bufs.kernel.kind;
+    let isa = Isa::detected();
     let mut effective = window;
     for t_rel in 1..=window {
         let col = off + t_rel - 1;
@@ -356,30 +296,10 @@ fn dp_on_grid(
             crow[0] = 0;
         }
         let front = grid.col_front(col);
-        let mut row_lanes = 0u64;
-        let mut row_tail = 0u64;
-        for (i, &c) in front.nodes.iter().enumerate() {
+        for (&c, &delta) in front.nodes.iter().zip(front.deltas) {
             let c = c as usize;
             let gain = bufs.s_units[c] as usize;
-            let (lanes, tail) = kernel::apply_candidate(
-                kind,
-                prev,
-                cur,
-                crow,
-                w_lo,
-                w_hi,
-                gain,
-                front.deltas[i],
-                c as u16 + 1,
-            );
-            row_lanes += lanes;
-            row_tail += tail;
-        }
-        if row_lanes > 0 {
-            work.simd_rows += 1;
-        }
-        if kind == KernelKind::Simd && row_tail > 0 {
-            work.tail_rows += 1;
+            isa.apply_candidate(prev, cur, crow, w_lo, w_hi, gain, delta, c as u16 + 1);
         }
         // Early termination: once the target cell meets the lower bound no
         // later row can strictly improve it, so every remaining choice
@@ -435,7 +355,7 @@ pub fn find_schedule_reference(ctx: &DpContext<'_>, task: &Task, start: Slot) ->
         }
     }
     let feasible = result.is_some();
-    record_dp_run(ctx, task, start, work, feasible, false);
+    record_dp_run(ctx, task, start, work, feasible);
     result
 }
 

@@ -43,7 +43,7 @@
 //! value and no choice tag (the same argument the per-row front used).
 
 use crate::dp::DpContext;
-use crate::kernel::{self, KernelKind};
+use crate::kernel::Isa;
 use pdftsp_types::{NodeId, Slot, Task};
 
 /// Multiplier that makes floating-point lower bounds conservative.
@@ -102,9 +102,6 @@ pub struct DeltaGrid {
     /// Samples per compute pricing unit, captured at build time (the
     /// admission bound prices the task's work term in these units).
     compute_unit: f64,
-    /// Row kernel used for the delta computation (bit-identical either
-    /// way; see [`crate::kernel::delta_row`]).
-    kernel: KernelKind,
     /// Scratch for the ledger's batched fits check.
     fits_buf: Vec<bool>,
 }
@@ -167,6 +164,7 @@ impl DeltaGrid {
         self.lam_suf.resize(self.width, f64::INFINITY);
         self.phi_suf.resize(self.width, f64::INFINITY);
         self.e_suf.resize(self.width, f64::INFINITY);
+        let isa = Isa::detected();
         for c in 0..self.compatible.len() {
             let k = self.compatible[c];
             let masked = if let Some(ledger) = ctx.ledger {
@@ -182,8 +180,7 @@ impl DeltaGrid {
             // reference DP's per-cell delta, so values are bit-identical.
             let s_price = task.rate(k) as f64 / ctx.compute_unit;
             let row = &mut self.deltas[c * self.width..(c + 1) * self.width];
-            kernel::delta_row(
-                self.kernel,
+            isa.delta_row(
                 lambda,
                 phi,
                 prices,
@@ -324,12 +321,6 @@ impl DeltaGrid {
         }
     }
 
-    /// Selects the delta-row kernel for subsequent [`DeltaGrid::build`]
-    /// calls (both kernels produce bit-identical cells).
-    pub fn set_kernel(&mut self, kernel: KernelKind) {
-        self.kernel = kernel;
-    }
-
     /// Conservative lower bound on the admission cost any schedule in
     /// `[start, deadline]` charges against the bid in Eq. (10) — so
     /// `F(il) ≤ b_i − q_in − lb` holds for every candidate this window can
@@ -340,7 +331,7 @@ impl DeltaGrid {
     /// the reference DP to return `None` too (window shorter than the
     /// fastest node needs, or fewer usable columns than the minimum
     /// placement count `m = ⌈M_i / max_k s_ik⌉`). The bound is the larger
-    /// of two valid lower bounds, scaled by [`LB_SLACK`]:
+    /// of two valid lower bounds, scaled by `LB_SLACK` (1 − 1e-12):
     ///
     /// 1. **dp-cost**: the sum of the `m` cheapest finite column minima
     ///    (`F(il) ≤ b_i − q_in − dp_cost` because the max-dual charges of

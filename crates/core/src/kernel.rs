@@ -1,199 +1,158 @@
 //! The min-plus row kernel behind Algorithm 2's DP sweep.
 //!
 //! [`apply_candidate`] applies one Pareto-front candidate `(gain, Δ)` to
-//! one DP row segment — the innermost loop of the whole scheduler. Two
-//! implementations exist:
+//! one DP row segment — the innermost loop of the whole scheduler — and
+//! [`Isa::delta_row`] fills one node's row of the per-arrival delta grid.
 //!
-//! * **scalar** — the straight-line loops, always compiled, and the form
-//!   the reference oracle effectively runs;
-//! * **simd** — `std::simd` (portable SIMD) over [`LANES`]-wide `f64`
-//!   vectors, compiled only under the nightly-gated `simd` cargo feature
-//!   and dispatched at runtime to the widest ISA the host supports
-//!   (AVX-512F → AVX2 → the build's baseline, SSE2 on x86-64).
+//! Each is one branchless body: zipped slice loops whose per-cell update
+//! is a select (`lt = cand < cur; cur = if lt {cand} else {cur}`), which
+//! stable rustc auto-vectorizes. The body is `#[inline(always)]` and
+//! compiled twice ([`Isa`]): once under `#[target_feature(enable =
+//! "avx2")]`, and once for the build's baseline target (SSE2 on plain
+//! x86-64, whatever the target offers elsewhere). The AVX2 copy runs
+//! whenever `is_x86_feature_detected!("avx2")` reports it; std caches
+//! that detection, so the pick is made once per process.
 //!
-//! **Bit-equivalence.** The SIMD path replays the scalar path bit for bit
-//! because every lane performs exactly the scalar per-cell operations, in
-//! the same candidate order, on the same IEEE-754 doubles:
+//! **Bit-equivalence.** Both copies replay the straight-line branchy loop
+//! (`if cand < cur { cur = cand; crow = tag }`) bit for bit, because every
+//! cell performs exactly its per-cell operations, in the same candidate
+//! order, on the same IEEE-754 doubles:
 //!
-//! 1. the candidate value is one `add` (`prev[w − gain] + Δ`) — never a
-//!    fused multiply-add, which would change rounding;
-//! 2. the update keeps the strict `<` tie-break (`select` on `cand <
-//!    cur`), so equal candidates never displace an earlier node's cell,
-//!    exactly as in the scalar loop;
-//! 3. lanes are independent cells: vectorizing across `w` within one
-//!    candidate reorders no floating-point reduction (there is none).
+//! 1. the candidate value is one `add` (`prev[w − gain] + Δ`), and
+//!    [`Isa::delta_row`] keeps the reference's association
+//!    `(s·λ + m·φ) + p·ew` — never a fused multiply-add (`mul_add`),
+//!    which would change rounding;
+//! 2. the update keeps the strict `<` tie-break, so an equal candidate
+//!    never displaces an earlier node's cell;
+//! 3. cells are independent: vectorizing across `w` within one candidate
+//!    reorders no floating-point reduction (there is none), and the DP
+//!    still applies candidates in ascending node order.
 //!
-//! AVX-512/AVX2/SSE2 all implement IEEE-754 binary64 `add`/`cmp`/blend
-//! identically, so the runtime ISA choice cannot change results either.
-//! `tests/dp_kernel_equivalence.rs` holds the proof-by-execution.
+//! AVX2 and SSE2 implement binary64 `add`/`mul`/`cmp`/blend identically,
+//! so the runtime ISA pick cannot change results either. The unit tests
+//! below and `tests/dp_kernel_equivalence.rs` check both copies against
+//! an independent straight-line loop.
 
-#[cfg(feature = "simd")]
-use std::sync::OnceLock;
-
-/// SIMD lane width of the kernel, and the DP slab's row alignment: every
-/// row of [`crate::DpBuffers`]'s flat slab starts at a multiple of this,
-/// so full-lane loads never straddle two rows. 8 × f64 maps to one
-/// AVX-512 vector, two AVX2 vectors, or four SSE2 vectors.
+/// The DP slab's row alignment: every row of [`crate::DpBuffers`]'s flat
+/// slab starts at a multiple of this many cells, so vector loads of one
+/// row never straddle the next. 8 × f64 is one AVX-512 vector, two AVX2
+/// vectors, or four SSE2 vectors.
 pub const LANES: usize = 8;
 
-/// Which row kernel a DP arena runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelKind {
-    /// Straight-line per-cell loops (always available).
-    #[default]
-    Scalar,
-    /// Portable-SIMD lanes (requires the `simd` cargo feature).
-    Simd,
+/// One compiled copy of the kernel bodies.
+///
+/// A value of this type proves its copy can run on this host: the AVX2
+/// copy is only handed out after `is_x86_feature_detected!("avx2")`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Isa(IsaKind);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IsaKind {
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    Baseline,
 }
 
-impl KernelKind {
-    /// Stable name for reports and bench JSON.
+impl Isa {
+    /// The copy the DP and the grid build run on this host: AVX2 when the
+    /// CPU has it, the baseline otherwise.
+    #[inline]
+    #[must_use]
+    pub fn detected() -> Isa {
+        Isa::avx2().unwrap_or(Isa::baseline())
+    }
+
+    /// The copy compiled for the build's baseline target (always runs).
+    #[must_use]
+    pub fn baseline() -> Isa {
+        Isa(IsaKind::Baseline)
+    }
+
+    /// The AVX2 copy, or `None` when this host (or target) lacks AVX2.
+    #[inline]
+    #[must_use]
+    pub fn avx2() -> Option<Isa> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Some(Isa(IsaKind::Avx2));
+            }
+        }
+        None
+    }
+
+    /// Stable name for reports and bench JSON: `"avx2"` or `"baseline"`.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::Scalar => "scalar",
-            KernelKind::Simd => "simd",
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            IsaKind::Avx2 => "avx2",
+            IsaKind::Baseline => "baseline",
         }
     }
-}
 
-/// Operator-facing kernel selection ([`crate::PdftspConfig::kernel`]).
-///
-/// `Auto` honours a `PDFTSP_KERNEL=scalar|simd` environment override and
-/// otherwise picks SIMD whenever the build carries it. Resolution happens
-/// once per scheduler (or arena) construction, not per DP call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelChoice {
-    /// Environment override, else SIMD if compiled in, else scalar.
-    #[default]
-    Auto,
-    /// Force the scalar kernel (also what the reference oracle runs).
-    Scalar,
-    /// Request the SIMD kernel; falls back to scalar (and says so in the
-    /// `fallback_dispatches` counter) when the build lacks the feature.
-    Simd,
-}
-
-/// A resolved kernel: what will actually run, plus whether a SIMD request
-/// had to fall back to scalar because this build does not carry the
-/// `simd` feature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelDispatch {
-    /// The kernel that will run.
-    pub kind: KernelKind,
-    /// `true` when SIMD was wanted but the scalar kernel runs instead —
-    /// each DP invocation under this dispatch counts one
-    /// `fallback_dispatches`.
-    pub fallback: bool,
-}
-
-impl Default for KernelDispatch {
-    fn default() -> Self {
-        KernelChoice::Auto.resolve()
-    }
-}
-
-/// Whether this build carries the SIMD kernel (`--features simd`,
-/// nightly only).
-#[must_use]
-pub fn simd_compiled() -> bool {
-    cfg!(feature = "simd")
-}
-
-/// The ISA the SIMD kernel dispatches to on this host: `"avx512f"`,
-/// `"avx2"`, or `"baseline"`; `"none"` on scalar-only builds.
-#[must_use]
-pub fn simd_isa() -> &'static str {
-    #[cfg(feature = "simd")]
-    {
-        simd_impl::isa_name()
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        "none"
-    }
-}
-
-/// Cached `PDFTSP_KERNEL` override (read once per process).
-fn env_override() -> Option<KernelChoice> {
-    use std::sync::OnceLock as Cell;
-    static ENV: Cell<Option<KernelChoice>> = Cell::new();
-    *ENV.get_or_init(|| match std::env::var("PDFTSP_KERNEL").as_deref() {
-        Ok("scalar") => Some(KernelChoice::Scalar),
-        Ok("simd") => Some(KernelChoice::Simd),
-        _ => None,
-    })
-}
-
-impl KernelChoice {
-    /// Resolves the choice against the build's features and the
-    /// `PDFTSP_KERNEL` environment override.
-    #[must_use]
-    pub fn resolve(self) -> KernelDispatch {
-        let effective = match self {
-            KernelChoice::Auto => env_override().unwrap_or(KernelChoice::Auto),
-            explicit => explicit,
-        };
-        match effective {
-            KernelChoice::Scalar => KernelDispatch {
-                kind: KernelKind::Scalar,
-                fallback: false,
+    /// [`apply_candidate`] on this copy.
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // hot-path primitive: flat args beat a per-call struct
+    pub fn apply_candidate(
+        self,
+        prev: &[f64],
+        cur: &mut [f64],
+        crow: &mut [u16],
+        w_lo: usize,
+        w_hi: usize,
+        gain: usize,
+        delta: f64,
+        tag: u16,
+    ) {
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Isa(Avx2)` is only built after runtime detection
+            // found AVX2 on this CPU (see `Isa::avx2`).
+            IsaKind::Avx2 => unsafe {
+                apply_avx2(prev, cur, crow, w_lo, w_hi, gain, delta, tag);
             },
-            KernelChoice::Simd | KernelChoice::Auto => {
-                if simd_compiled() {
-                    KernelDispatch {
-                        kind: KernelKind::Simd,
-                        fallback: false,
-                    }
-                } else {
-                    // Only an *explicit* SIMD request that cannot be
-                    // honoured is a fallback; `Auto` taking the best
-                    // available kernel is just the normal resolution.
-                    KernelDispatch {
-                        kind: KernelKind::Scalar,
-                        fallback: matches!(effective, KernelChoice::Simd),
-                    }
-                }
-            }
+            IsaKind::Baseline => apply_body(prev, cur, crow, w_lo, w_hi, gain, delta, tag),
+        }
+    }
+
+    /// Computes one node's delta row for the grid build:
+    /// `out[j] = s_price·λ[j] + mem·φ[j] + prices[j]·ew`, with the exact
+    /// per-cell expression — and operation order — of the reference DP
+    /// (two multiplies, the energy product first, no FMA), so grid cells
+    /// stay bit-identical to the reference.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn delta_row(
+        self,
+        lambda: &[f64],
+        phi: &[f64],
+        prices: &[f64],
+        s_price: f64,
+        mem: f64,
+        ew: f64,
+        out: &mut [f64],
+    ) {
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `apply_candidate`: AVX2 was detected at runtime.
+            IsaKind::Avx2 => unsafe {
+                delta_avx2(lambda, phi, prices, s_price, mem, ew, out);
+            },
+            IsaKind::Baseline => delta_body(lambda, phi, prices, s_price, mem, ew, out),
         }
     }
 }
 
 /// Applies one candidate `(gain, Δ, tag)` to the maintained row segment
-/// `[w_lo, w_hi]` of a DP row: `cur[w] ← min(cur[w], source + Δ)` with
-/// `source = prev[0]` below `gain` (the floor transition) and
-/// `prev[w − gain]` above, tagging improved cells with the candidate's
-/// choice tag under a strict `<` (ties keep the incumbent).
-///
-/// Returns `(lanes, tail_cells)`: full-lane vector updates and
-/// scalar-remainder cells. The scalar kernel reports `(0, 0)` — the
-/// tallies describe SIMD coverage, not row width.
+/// `[w_lo, w_hi]` (`w_lo ≤ w_hi`) of a DP row: `cur[w] ← min(cur[w],
+/// source + Δ)` with `source = prev[0]` below `gain` (the floor
+/// transition) and `prev[w − gain]` from `gain` up, tagging improved
+/// cells with the candidate's choice tag under a strict `<` (ties keep
+/// the incumbent). Runs the [`Isa::detected`] copy.
 #[inline]
-#[allow(clippy::too_many_arguments)] // hot-path primitive: flat args beat a per-call struct
-pub fn apply_candidate(
-    kind: KernelKind,
-    prev: &[f64],
-    cur: &mut [f64],
-    crow: &mut [u16],
-    w_lo: usize,
-    w_hi: usize,
-    gain: usize,
-    delta: f64,
-    tag: u16,
-) -> (u64, u64) {
-    match kind {
-        KernelKind::Scalar => {
-            apply_scalar(prev, cur, crow, w_lo, w_hi, gain, delta, tag);
-            (0, 0)
-        }
-        KernelKind::Simd => apply_simd(prev, cur, crow, w_lo, w_hi, gain, delta, tag),
-    }
-}
-
-/// The scalar row kernel — the exact loops the DP ran before the slab
-/// refactor, kept verbatim as the bit-equivalence anchor.
 #[allow(clippy::too_many_arguments)]
-fn apply_scalar(
+pub fn apply_candidate(
     prev: &[f64],
     cur: &mut [f64],
     crow: &mut [u16],
@@ -203,245 +162,88 @@ fn apply_scalar(
     delta: f64,
     tag: u16,
 ) {
+    Isa::detected().apply_candidate(prev, cur, crow, w_lo, w_hi, gain, delta, tag);
+}
+
+/// The AVX2 copy of [`apply_body`].
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn apply_avx2(
+    prev: &[f64],
+    cur: &mut [f64],
+    crow: &mut [u16],
+    w_lo: usize,
+    w_hi: usize,
+    gain: usize,
+    delta: f64,
+    tag: u16,
+) {
+    apply_body(prev, cur, crow, w_lo, w_hi, gain, delta, tag);
+}
+
+/// The AVX2 copy of [`delta_body`].
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn delta_avx2(
+    lambda: &[f64],
+    phi: &[f64],
+    prices: &[f64],
+    s_price: f64,
+    mem: f64,
+    ew: f64,
+    out: &mut [f64],
+) {
+    delta_body(lambda, phi, prices, s_price, mem, ew, out);
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn apply_body(
+    prev: &[f64],
+    cur: &mut [f64],
+    crow: &mut [u16],
+    w_lo: usize,
+    w_hi: usize,
+    gain: usize,
+    delta: f64,
+    tag: u16,
+) {
+    debug_assert!(w_lo <= w_hi);
     // Below `gain` the transition reads dp[t−1][0] (the reference's
-    // saturating_sub); splitting the loop keeps the bound checks and the
-    // subtraction out of the dense segment.
-    let split = gain.min(w_hi + 1);
+    // saturating_sub): the floor segment [w_lo, split) sees one constant
+    // candidate, the dense segment [split, w_hi] reads prev[w − gain].
+    let split = gain.clamp(w_lo, w_hi + 1);
+    let (cur_floor, cur_dense) = cur[w_lo..=w_hi].split_at_mut(split - w_lo);
+    let (crow_floor, crow_dense) = crow[w_lo..=w_hi].split_at_mut(split - w_lo);
     let floor_cand = prev[0] + delta;
-    for w in w_lo..split {
-        if floor_cand < cur[w] {
-            cur[w] = floor_cand;
-            crow[w] = tag;
-        }
+    for (c, t) in cur_floor.iter_mut().zip(crow_floor) {
+        let lt = floor_cand < *c;
+        *c = if lt { floor_cand } else { *c };
+        *t = if lt { tag } else { *t };
     }
-    for w in split.max(w_lo)..=w_hi {
-        let cand = prev[w - gain] + delta;
-        if cand < cur[w] {
-            cur[w] = cand;
-            crow[w] = tag;
-        }
+    if cur_dense.is_empty() {
+        return; // gain > w_hi: the whole segment is floor
     }
-}
-
-#[cfg(feature = "simd")]
-#[allow(clippy::too_many_arguments)]
-fn apply_simd(
-    prev: &[f64],
-    cur: &mut [f64],
-    crow: &mut [u16],
-    w_lo: usize,
-    w_hi: usize,
-    gain: usize,
-    delta: f64,
-    tag: u16,
-) -> (u64, u64) {
-    // SAFETY: the function pointer was selected by `simd_impl::select`
-    // against runtime CPU-feature detection, so the target features its
-    // body was compiled with are present on this host.
-    unsafe { (simd_row_fn())(prev, cur, crow, w_lo, w_hi, gain, delta, tag) }
-}
-
-/// Scalar stand-in so the symbol exists on scalar-only builds; dispatch
-/// never routes here ([`KernelChoice::resolve`] falls back to
-/// [`KernelKind::Scalar`] when the feature is absent).
-#[cfg(not(feature = "simd"))]
-#[allow(clippy::too_many_arguments)]
-fn apply_simd(
-    prev: &[f64],
-    cur: &mut [f64],
-    crow: &mut [u16],
-    w_lo: usize,
-    w_hi: usize,
-    gain: usize,
-    delta: f64,
-    tag: u16,
-) -> (u64, u64) {
-    apply_scalar(prev, cur, crow, w_lo, w_hi, gain, delta, tag);
-    (0, 0)
-}
-
-#[cfg(feature = "simd")]
-fn simd_row_fn() -> simd_impl::RowFn {
-    static ROW: OnceLock<simd_impl::RowFn> = OnceLock::new();
-    *ROW.get_or_init(simd_impl::select)
-}
-
-#[cfg(feature = "simd")]
-mod simd_impl {
-    //! The portable-SIMD row body, instantiated once per dispatched ISA
-    //! via `#[target_feature]` wrappers around an `#[inline(always)]`
-    //! core (so each wrapper compiles the body with its own features).
-
-    use super::LANES;
-    use std::simd::{cmp::SimdPartialOrd, Select, Simd};
-
-    pub type RowFn = unsafe fn(
-        &[f64],     // prev
-        &mut [f64], // cur
-        &mut [u16], // crow
-        usize,      // w_lo
-        usize,      // w_hi
-        usize,      // gain
-        f64,        // delta
-        u16,        // tag
-    ) -> (u64, u64);
-
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn body(
-        prev: &[f64],
-        cur: &mut [f64],
-        crow: &mut [u16],
-        w_lo: usize,
-        w_hi: usize,
-        gain: usize,
-        delta: f64,
-        tag: u16,
-    ) -> (u64, u64) {
-        let mut lanes = 0u64;
-        let mut tail = 0u64;
-        let split = gain.min(w_hi + 1);
-        let floor_cand = prev[0] + delta;
-        let tag_v = Simd::<u16, LANES>::splat(tag);
-
-        // Floor segment [w_lo, split): one constant candidate per cell.
-        let fc_v = Simd::<f64, LANES>::splat(floor_cand);
-        let mut w = w_lo;
-        while w + LANES <= split {
-            let c = Simd::<f64, LANES>::from_slice(&cur[w..]);
-            let m = fc_v.simd_lt(c);
-            m.select(fc_v, c).copy_to_slice(&mut cur[w..w + LANES]);
-            let t = Simd::<u16, LANES>::from_slice(&crow[w..]);
-            m.cast::<i16>()
-                .select(tag_v, t)
-                .copy_to_slice(&mut crow[w..w + LANES]);
-            lanes += 1;
-            w += LANES;
-        }
-        while w < split {
-            if floor_cand < cur[w] {
-                cur[w] = floor_cand;
-                crow[w] = tag;
-            }
-            tail += 1;
-            w += 1;
-        }
-
-        // Dense segment [max(split, w_lo), w_hi]: prev[w − gain] + Δ. The
-        // source lanes are contiguous because `gain` is constant for the
-        // candidate, so this is one unaligned load per vector — no gather.
-        let delta_v = Simd::<f64, LANES>::splat(delta);
-        let mut w = split.max(w_lo);
-        while w + LANES <= w_hi + 1 {
-            let cand = Simd::<f64, LANES>::from_slice(&prev[w - gain..]) + delta_v;
-            let c = Simd::<f64, LANES>::from_slice(&cur[w..]);
-            let m = cand.simd_lt(c);
-            m.select(cand, c).copy_to_slice(&mut cur[w..w + LANES]);
-            let t = Simd::<u16, LANES>::from_slice(&crow[w..]);
-            m.cast::<i16>()
-                .select(tag_v, t)
-                .copy_to_slice(&mut crow[w..w + LANES]);
-            lanes += 1;
-            w += LANES;
-        }
-        while w <= w_hi {
-            let cand = prev[w - gain] + delta;
-            if cand < cur[w] {
-                cur[w] = cand;
-                crow[w] = tag;
-            }
-            tail += 1;
-            w += 1;
-        }
-        (lanes, tail)
-    }
-
-    /// Baseline instantiation: whatever target features the build was
-    /// compiled with (SSE2 on plain x86-64). `unsafe fn` only to share
-    /// the [`RowFn`] signature with the feature-gated variants.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn row_baseline(
-        prev: &[f64],
-        cur: &mut [f64],
-        crow: &mut [u16],
-        w_lo: usize,
-        w_hi: usize,
-        gain: usize,
-        delta: f64,
-        tag: u16,
-    ) -> (u64, u64) {
-        body(prev, cur, crow, w_lo, w_hi, gain, delta, tag)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn row_avx2(
-        prev: &[f64],
-        cur: &mut [f64],
-        crow: &mut [u16],
-        w_lo: usize,
-        w_hi: usize,
-        gain: usize,
-        delta: f64,
-        tag: u16,
-    ) -> (u64, u64) {
-        body(prev, cur, crow, w_lo, w_hi, gain, delta, tag)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn row_avx512(
-        prev: &[f64],
-        cur: &mut [f64],
-        crow: &mut [u16],
-        w_lo: usize,
-        w_hi: usize,
-        gain: usize,
-        delta: f64,
-        tag: u16,
-    ) -> (u64, u64) {
-        body(prev, cur, crow, w_lo, w_hi, gain, delta, tag)
-    }
-
-    /// Picks the widest instantiation the host CPU supports.
-    pub fn select() -> RowFn {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return row_avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return row_avx2;
-            }
-        }
-        row_baseline
-    }
-
-    /// The ISA [`select`] lands on (for reports).
-    pub fn isa_name() -> &'static str {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return "avx512f";
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return "avx2";
-            }
-        }
-        "baseline"
+    // `gain` is constant for the candidate, so the sources are one
+    // contiguous slice: one unaligned load per vector, no gather.
+    let src = &prev[split - gain..=w_hi - gain];
+    for ((c, t), &p) in cur_dense.iter_mut().zip(crow_dense).zip(src) {
+        let cand = p + delta;
+        let lt = cand < *c;
+        *c = if lt { cand } else { *c };
+        *t = if lt { tag } else { *t };
     }
 }
 
-/// Computes one node's delta row for the grid build:
-/// `out[j] = s_price·λ[j] + mem·φ[j] + prices[j]·ew`, with the exact
-/// per-cell expression — and operation order — of the reference DP
-/// (two multiplies, the energy product first, no FMA contraction), so
-/// grid cells stay bit-identical to the reference regardless of kernel.
-#[allow(clippy::too_many_arguments)]
-pub fn delta_row(
-    kind: KernelKind,
+#[inline(always)]
+fn delta_body(
     lambda: &[f64],
     phi: &[f64],
     prices: &[f64],
@@ -451,68 +253,10 @@ pub fn delta_row(
     out: &mut [f64],
 ) {
     debug_assert!(lambda.len() == out.len() && phi.len() == out.len() && prices.len() == out.len());
-    match kind {
-        KernelKind::Scalar => {
-            for j in 0..out.len() {
-                let e = prices[j] * ew;
-                out[j] = s_price * lambda[j] + mem * phi[j] + e;
-            }
-        }
-        KernelKind::Simd => delta_row_simd(lambda, phi, prices, s_price, mem, ew, out),
+    for (((o, &l), &p), &pr) in out.iter_mut().zip(lambda).zip(phi).zip(prices) {
+        let e = pr * ew;
+        *o = s_price * l + mem * p + e;
     }
-}
-
-#[cfg(feature = "simd")]
-fn delta_row_simd(
-    lambda: &[f64],
-    phi: &[f64],
-    prices: &[f64],
-    s_price: f64,
-    mem: f64,
-    ew: f64,
-    out: &mut [f64],
-) {
-    use std::simd::Simd;
-    let sp = Simd::<f64, LANES>::splat(s_price);
-    let mm = Simd::<f64, LANES>::splat(mem);
-    let ww = Simd::<f64, LANES>::splat(ew);
-    let mut j = 0;
-    while j + LANES <= out.len() {
-        let l = Simd::<f64, LANES>::from_slice(&lambda[j..]);
-        let p = Simd::<f64, LANES>::from_slice(&phi[j..]);
-        let pr = Simd::<f64, LANES>::from_slice(&prices[j..]);
-        // Same association as the scalar expression: (s·λ + m·φ) + e.
-        let e = pr * ww;
-        (sp * l + mm * p + e).copy_to_slice(&mut out[j..j + LANES]);
-        j += LANES;
-    }
-    while j < out.len() {
-        let e = prices[j] * ew;
-        out[j] = s_price * lambda[j] + mem * phi[j] + e;
-        j += 1;
-    }
-}
-
-#[cfg(not(feature = "simd"))]
-fn delta_row_simd(
-    lambda: &[f64],
-    phi: &[f64],
-    prices: &[f64],
-    s_price: f64,
-    mem: f64,
-    ew: f64,
-    out: &mut [f64],
-) {
-    delta_row(
-        KernelKind::Scalar,
-        lambda,
-        phi,
-        prices,
-        s_price,
-        mem,
-        ew,
-        out,
-    );
 }
 
 #[cfg(test)]
@@ -521,131 +265,81 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn resolve_respects_build_features() {
-        let scalar = KernelChoice::Scalar.resolve();
-        assert_eq!(scalar.kind, KernelKind::Scalar);
-        assert!(!scalar.fallback);
-        let simd = KernelChoice::Simd.resolve();
-        if simd_compiled() {
-            assert_eq!(simd.kind, KernelKind::Simd);
-            assert!(!simd.fallback);
-        } else {
-            assert_eq!(simd.kind, KernelKind::Scalar);
-            assert!(simd.fallback, "SIMD request on a scalar build must say so");
-            assert_eq!(simd_isa(), "none");
+    /// Every copy compiled for and runnable on this host.
+    fn copies() -> Vec<Isa> {
+        let mut v = vec![Isa::baseline()];
+        match Isa::avx2() {
+            Some(isa) => v.push(isa),
+            None => eprintln!("note: host lacks AVX2; only the baseline copy is checked"),
         }
-        // Auto always resolves to the best available kernel — never a
-        // fallback (unless PDFTSP_KERNEL=simd forces an explicit request).
-        let auto = KernelChoice::Auto.resolve();
-        assert!(
-            !auto.fallback || env_override() == Some(KernelChoice::Simd),
-            "Auto must not count as a fallback"
-        );
+        v
     }
 
-    /// Both kernels, fed identical random rows, must produce bit-identical
-    /// values and identical choice tags — including widths that are not
-    /// lane multiples and segments narrower than one lane.
+    /// The straight-line branchy loop the kernel must replay.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle(
+        prev: &[f64],
+        cur: &mut [f64],
+        crow: &mut [u16],
+        w_lo: usize,
+        w_hi: usize,
+        gain: usize,
+        delta: f64,
+        tag: u16,
+    ) {
+        for w in w_lo..=w_hi {
+            let source = if w < gain { prev[0] } else { prev[w - gain] };
+            let cand = source + delta;
+            if cand < cur[w] {
+                cur[w] = cand;
+                crow[w] = tag;
+            }
+        }
+    }
+
+    /// Each copy, fed random rows, must produce the oracle's value bits
+    /// and choice tags — including `+∞` cells, widths that are not lane
+    /// multiples, segments narrower than one lane, and `gain > w_hi`.
     #[test]
     fn kernels_are_bit_identical_on_random_rows() {
-        for case in 0..200u64 {
-            let mut rng = StdRng::seed_from_u64(0x513D_0000 + case);
-            let width = rng.gen_range(1usize..80);
-            let w_hi = width - 1;
-            let w_lo = rng.gen_range(0..=w_hi);
-            let gain = rng.gen_range(1usize..20);
-            let delta = rng.gen_range(0.0f64..5.0);
-            let tag = rng.gen_range(1u16..40);
-            let prev: Vec<f64> = (0..width.max(w_hi + 1))
-                .map(|_| {
-                    if rng.gen_bool(0.1) {
-                        f64::INFINITY
-                    } else {
-                        rng.gen_range(0.0f64..10.0)
-                    }
-                })
-                .collect();
-            let base_cur: Vec<f64> = prev.iter().map(|v| v + rng.gen_range(-0.5..0.5)).collect();
-            let base_crow = vec![0u16; width];
+        for isa in copies() {
+            for case in 0..300u64 {
+                let mut rng = StdRng::seed_from_u64(0x513D_0000 + case);
+                let width = rng.gen_range(1usize..80);
+                let w_hi = width - 1;
+                let w_lo = rng.gen_range(0..=w_hi);
+                let gain = rng.gen_range(1usize..width + 20);
+                let delta = rng.gen_range(0.0f64..5.0);
+                let tag = rng.gen_range(1u16..40);
+                let prev: Vec<f64> = (0..width)
+                    .map(|_| {
+                        if rng.gen_bool(0.1) {
+                            f64::INFINITY
+                        } else {
+                            rng.gen_range(0.0f64..10.0)
+                        }
+                    })
+                    .collect();
+                let base_cur: Vec<f64> =
+                    prev.iter().map(|v| v + rng.gen_range(-0.5..0.5)).collect();
+                let base_crow = vec![0u16; width];
 
-            let (mut cur_s, mut crow_s) = (base_cur.clone(), base_crow.clone());
-            apply_candidate(
-                KernelKind::Scalar,
-                &prev,
-                &mut cur_s,
-                &mut crow_s,
-                w_lo,
-                w_hi,
-                gain,
-                delta,
-                tag,
-            );
-            let (mut cur_v, mut crow_v) = (base_cur.clone(), base_crow.clone());
-            let kind = if simd_compiled() {
-                KernelKind::Simd
-            } else {
-                KernelKind::Scalar
-            };
-            apply_candidate(
-                kind,
-                &prev,
-                &mut cur_v,
-                &mut crow_v,
-                w_lo,
-                w_hi,
-                gain,
-                delta,
-                tag,
-            );
-            for w in 0..width {
-                assert_eq!(
-                    cur_s[w].to_bits(),
-                    cur_v[w].to_bits(),
-                    "case {case} w {w}: {} vs {}",
-                    cur_s[w],
-                    cur_v[w]
-                );
+                let (mut cur_o, mut crow_o) = (base_cur.clone(), base_crow.clone());
+                oracle(&prev, &mut cur_o, &mut crow_o, w_lo, w_hi, gain, delta, tag);
+                let (mut cur_k, mut crow_k) = (base_cur, base_crow);
+                isa.apply_candidate(&prev, &mut cur_k, &mut crow_k, w_lo, w_hi, gain, delta, tag);
+                for w in 0..width {
+                    assert_eq!(
+                        cur_o[w].to_bits(),
+                        cur_k[w].to_bits(),
+                        "{} case {case} w {w}: {} vs {}",
+                        isa.name(),
+                        cur_o[w],
+                        cur_k[w]
+                    );
+                }
+                assert_eq!(crow_o, crow_k, "{} case {case}", isa.name());
             }
-            assert_eq!(crow_s, crow_v, "case {case}");
-        }
-    }
-
-    #[test]
-    fn lane_tallies_reflect_row_shape() {
-        let prev = vec![1.0; 64];
-        let mut cur = vec![5.0; 64];
-        let mut crow = vec![0u16; 64];
-        let (lanes, tail) = apply_candidate(
-            KernelKind::Scalar,
-            &prev,
-            &mut cur,
-            &mut crow,
-            0,
-            63,
-            4,
-            0.5,
-            1,
-        );
-        assert_eq!((lanes, tail), (0, 0), "scalar kernel reports no lanes");
-        if simd_compiled() {
-            let mut cur = vec![5.0; 64];
-            let mut crow = vec![0u16; 64];
-            // Segment [0, 60] with gain 4: floor [0,4) is sub-lane (tail),
-            // dense [4, 60] holds 7 full lanes + 1 tail cell.
-            let (lanes, tail) = apply_candidate(
-                KernelKind::Simd,
-                &prev,
-                &mut cur,
-                &mut crow,
-                0,
-                60,
-                4,
-                0.5,
-                1,
-            );
-            assert_eq!(lanes, 7, "dense lanes");
-            assert_eq!(tail, 4 + 1, "floor cells + dense remainder");
         }
     }
 
@@ -657,39 +351,17 @@ mod tests {
             let phi: Vec<f64> = (0..width).map(|_| rng.gen_range(0.0f64..2.0)).collect();
             let prices: Vec<f64> = (0..width).map(|_| rng.gen_range(0.0f64..3.0)).collect();
             let (s_price, mem, ew) = (1.37, 10.0, 0.8);
-            let mut scalar = vec![0.0; width];
-            delta_row(
-                KernelKind::Scalar,
-                &lambda,
-                &phi,
-                &prices,
-                s_price,
-                mem,
-                ew,
-                &mut scalar,
-            );
-            for (j, v) in scalar.iter().enumerate() {
-                let e = prices[j] * ew;
-                let want = s_price * lambda[j] + mem * phi[j] + e;
-                assert_eq!(v.to_bits(), want.to_bits(), "width {width} j {j}");
-            }
-            if simd_compiled() {
-                let mut vector = vec![0.0; width];
-                delta_row(
-                    KernelKind::Simd,
-                    &lambda,
-                    &phi,
-                    &prices,
-                    s_price,
-                    mem,
-                    ew,
-                    &mut vector,
-                );
-                for j in 0..width {
+            for isa in copies() {
+                let mut out = vec![0.0; width];
+                isa.delta_row(&lambda, &phi, &prices, s_price, mem, ew, &mut out);
+                for (j, v) in out.iter().enumerate() {
+                    let e = prices[j] * ew;
+                    let want = s_price * lambda[j] + mem * phi[j] + e;
                     assert_eq!(
-                        scalar[j].to_bits(),
-                        vector[j].to_bits(),
-                        "width {width} j {j}"
+                        v.to_bits(),
+                        want.to_bits(),
+                        "{} width {width} j {j}",
+                        isa.name()
                     );
                 }
             }

@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 //! # pdftsp-core
 //!
 //! The paper's primary contribution: **pdFTSP**, the online primal-dual
@@ -17,6 +16,9 @@
 //!   deadline. Two pipelines: the production grid path (scratch reuse,
 //!   row caps, early termination) and the straight-line reference kept
 //!   as the equivalence oracle.
+//! * [`kernel`] — the DP's min-plus row update and the grid's delta-row
+//!   fill: one branchless body, run as an AVX2 copy or a baseline copy
+//!   picked at runtime.
 //! * [`grid`] — the per-arrival shared delta grid: every `(node, slot)`
 //!   cost `Δ_kt` computed once per arrival, sliced by every vendor's DP,
 //!   plus the column-minima bounds behind admission pruning.
@@ -50,7 +52,6 @@ pub use dp::{
 };
 pub use duals::DualState;
 pub use grid::DeltaGrid;
-pub use kernel::{KernelChoice, KernelDispatch, KernelKind};
 pub use pricing::payment;
 pub use probe::{probe_bid, BidProbe};
 pub use scheduler::{AuctionRecord, Pdftsp};

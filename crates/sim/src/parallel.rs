@@ -1,7 +1,7 @@
 //! Parallel map for experiment sweeps.
 //!
 //! The implementation lives in [`pdftsp_cluster::parallel`] so the
-//! scheduler core can reuse it for vendor-parallel evaluation; this
+//! sharded service and the sweeps share one worker pool; this
 //! module re-exports it under the historical `pdftsp_sim::parallel_map`
 //! path and keeps the sweep-facing contract tests (order preservation,
 //! exactly-once execution) next to the sweep code that relies on them.

@@ -15,7 +15,7 @@
 //!   worker pool, so any worker count — sequentially processes its
 //!   fault events and routed arrivals for the epoch's slots through its
 //!   own scheduler, provisionally committing to its shard-local ledger
-//!   and recording every mutation as a [`LedgerOp`].
+//!   and recording every mutation as a `LedgerOp`.
 //! * **Phase 2 (commit, sequential).** The coordinator replays the op
 //!   logs in shard-id order against the global [`CapacityLedger`], node
 //!   ids remapped from shard-local to global. Shards own disjoint node
@@ -514,10 +514,9 @@ impl AuctionService {
     /// to the range, cost-grid rows sliced), routes every task, and maps
     /// `plan`'s fault events to their owning shards.
     ///
-    /// Each shard's scheduler is pinned to one worker
-    /// ([`Pdftsp::with_workers`]): the shards themselves are the unit of
-    /// parallelism, and a sequential vendor loop inside each keeps
-    /// phase 1 identical to a single-thread run.
+    /// The shards themselves are the unit of parallelism: each shard's
+    /// scheduler runs its vendor loop sequentially, so phase 1 is
+    /// identical to a single-thread run.
     ///
     /// # Errors
     /// [`ServiceError::Shard`] when the cluster cannot be partitioned
@@ -661,7 +660,7 @@ impl AuctionService {
                 Telemetry::disabled()
             };
             span_logs.push(span_log);
-            let pdftsp = Pdftsp::with_workers(&shard_scenario, cfg.scheduler, telemetry, 1);
+            let pdftsp = Pdftsp::with_telemetry(&shard_scenario, cfg.scheduler, telemetry);
             shards.push(Arc::new(Mutex::new(ShardState {
                 scenario: shard_scenario,
                 pdftsp,

@@ -15,7 +15,7 @@
 //! * [`dense`] — the seed-state dense two-phase tableau, retained as the
 //!   equivalence oracle and numerical fallback (as PR 1 retained the
 //!   reference DP).
-//! * [`presolve`] — bound tightening, fixed-variable elimination, bound
+//! * [`mod@presolve`] — bound tightening, fixed-variable elimination, bound
 //!   propagation, and MILP coefficient tightening, run before node LPs
 //!   are pivoted (branch rows fix binaries, so deep nodes shrink
 //!   dramatically);

@@ -47,13 +47,6 @@ pub struct Counters {
     pub dp_cells: AtomicU64,
     /// DP runs whose lower-bound early exit fired.
     pub dp_early_exits: AtomicU64,
-    /// DP rows where at least one candidate update ran full SIMD lanes.
-    pub simd_rows: AtomicU64,
-    /// DP rows where the SIMD kernel fell through to scalar tail cells.
-    pub scalar_tail_rows: AtomicU64,
-    /// `findSchedule` invocations that wanted SIMD but ran the scalar
-    /// kernel (build without the `simd` feature).
-    pub fallback_dispatches: AtomicU64,
     /// Shared delta grids built (one per `decide()` in the optimized path).
     pub grid_builds: AtomicU64,
     /// Cells materialized across all delta grids.

@@ -63,7 +63,7 @@ use std::sync::Arc;
 /// One scheduler's telemetry handle: the event sink plus the always-on
 /// counters. Shared by reference into the evaluation hot path (all
 /// interior state is atomic or behind the sink's own synchronization, so
-/// `&Telemetry` is enough even from parallel vendor workers).
+/// `&Telemetry` is enough even from parallel workers).
 pub struct Telemetry {
     sink: Arc<dyn Sink>,
     /// Cached `sink.enabled()` so the hot-path test is one branch on a

@@ -85,12 +85,6 @@ pub struct RunReport {
     pub dp_cells: u64,
     /// DP runs whose early exit fired.
     pub dp_early_exits: u64,
-    /// DP rows where at least one candidate update ran full SIMD lanes.
-    pub simd_rows: u64,
-    /// DP rows where the SIMD kernel fell through to scalar tail cells.
-    pub scalar_tail_rows: u64,
-    /// DP invocations that wanted SIMD but ran the scalar kernel.
-    pub fallback_dispatches: u64,
     /// Mean DP cells per decision.
     pub dp_cells_per_decision: f64,
     /// Shared delta grids built.
@@ -133,9 +127,6 @@ impl RunReport {
             dp_rows: c.read(&c.dp_rows),
             dp_cells: c.read(&c.dp_cells),
             dp_early_exits: c.read(&c.dp_early_exits),
-            simd_rows: c.read(&c.simd_rows),
-            scalar_tail_rows: c.read(&c.scalar_tail_rows),
-            fallback_dispatches: c.read(&c.fallback_dispatches),
             dp_cells_per_decision: c.dp_cells_per_decision(),
             grid_builds: c.read(&c.grid_builds),
             grid_cells: c.read(&c.grid_cells),
@@ -262,13 +253,6 @@ impl RunReport {
         let _ = writeln!(s, "  \"dp_rows\": {},", self.dp_rows);
         let _ = writeln!(s, "  \"dp_cells\": {},", self.dp_cells);
         let _ = writeln!(s, "  \"dp_early_exits\": {},", self.dp_early_exits);
-        let _ = writeln!(s, "  \"simd_rows\": {},", self.simd_rows);
-        let _ = writeln!(s, "  \"scalar_tail_rows\": {},", self.scalar_tail_rows);
-        let _ = writeln!(
-            s,
-            "  \"fallback_dispatches\": {},",
-            self.fallback_dispatches
-        );
         let _ = writeln!(
             s,
             "  \"dp_cells_per_decision\": {:?},",
@@ -347,11 +331,6 @@ impl RunReport {
         );
         let _ = writeln!(
             s,
-            "  kernel: {} simd rows, {} scalar tail rows, {} fallback dispatches",
-            self.simd_rows, self.scalar_tail_rows, self.fallback_dispatches
-        );
-        let _ = writeln!(
-            s,
             "  grids: {} built, {} cells; dual updates: {}",
             self.grid_builds, self.grid_cells, self.dual_updates
         );
@@ -407,9 +386,6 @@ mod tests {
         c.bump(&c.vendors_pruned, 6);
         c.bump(&c.dp_runs, 6);
         c.bump(&c.dp_cells, 240);
-        c.bump(&c.simd_rows, 5);
-        c.bump(&c.scalar_tail_rows, 2);
-        c.bump(&c.fallback_dispatches, 1);
         c.bump(&c.dual_updates, 9);
         c.decide_latency.record_nanos(10_000);
         let r = RunReport::from_counters("pdFTSP", &c);
@@ -419,9 +395,6 @@ mod tests {
         assert_eq!(r.rejected(), 1);
         assert!((r.prune_hit_rate - 0.5).abs() < 1e-12);
         assert!((r.dp_cells_per_decision - 60.0).abs() < 1e-12);
-        assert_eq!(r.simd_rows, 5);
-        assert_eq!(r.scalar_tail_rows, 2);
-        assert_eq!(r.fallback_dispatches, 1);
         assert_eq!(r.dual_updates, 9);
         assert_eq!(r.latency.count, 1);
         assert!(!r.latency.exact);
@@ -473,9 +446,6 @@ mod tests {
             "\"admitted\": 1",
             "\"prune_hit_rate\"",
             "\"dp_cells\"",
-            "\"simd_rows\"",
-            "\"scalar_tail_rows\"",
-            "\"fallback_dispatches\"",
             "\"dual_updates\"",
             "\"p50_nanos\"",
             "\"peak_colocation\": 2",

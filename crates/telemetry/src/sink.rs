@@ -23,7 +23,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Receives emitted events. Implementations must be internally
-/// synchronized: parallel vendor workers may emit concurrently.
+/// synchronized: shard workers and parallel sweeps may emit concurrently.
 pub trait Sink: Send + Sync {
     /// Records one event.
     fn emit(&self, event: &Event);

@@ -25,9 +25,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Parsed `--spot` specification: market dynamics, budgets, leases, and
-/// the prediction signal, `key=value` style like [`FaultSpec`].
-///
-/// [`FaultSpec`]: https://docs.rs/pdftsp-sim — `pdftsp_sim::FaultSpec`
+/// the prediction signal, `key=value` style like the fault plans'
+/// `pdftsp_sim::FaultSpec`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotSpec {
     /// Per-slot probability of a spot-price jump.

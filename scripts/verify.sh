@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: release build, full workspace test suite,
-# formatting, and lint-clean under -D warnings. CI and pre-commit both
+# formatting, lint-clean under -D warnings, and warning-free rustdoc. CI and pre-commit both
 # run exactly this script; keep it dependency-free (cargo toolchain only).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,5 +33,8 @@ cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (no broken intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "verify: OK"

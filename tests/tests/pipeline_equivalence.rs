@@ -2,7 +2,8 @@
 //! [`pdftsp_core::Pdftsp`].
 //!
 //! The optimized pipeline (shared delta grid, scratch arena, admission
-//! pruning, early DP termination, optional vendor parallelism) must make
+//! pruning, early DP termination, a sequential vendor loop with an
+//! incumbent skip and a start-slot memo) must make
 //! **bit-identical** admission, scheduling, payment, and dual-update
 //! decisions to the straight-line reference pipeline it replaced. These
 //! tests run both pipelines in lockstep over randomized scenarios and
@@ -151,10 +152,12 @@ fn optimized_pipeline_matches_reference_strict_policy() {
     }
 }
 
-/// ~40 vendor-rich instances with the parallel threshold floored, so
-/// every arrival with ≥ 2 surviving vendors takes the parallel branch.
+/// ~40 vendor-rich instances: every task goes through 4–8 vendors, so
+/// nearly every arrival runs the sequential vendor loop — descending
+/// upper-bound order, incumbent skip, start-slot memo — and must still
+/// pick the reference's winner (earliest quote on an exact `F(il)` tie).
 #[test]
-fn parallel_vendor_branch_matches_reference() {
+fn sequential_vendor_loop_matches_reference() {
     let mut rng = StdRng::seed_from_u64(0xE9_0003);
     for case in 0..40u64 {
         let sc = ScenarioBuilder {
@@ -169,11 +172,7 @@ fn parallel_vendor_branch_matches_reference() {
             ..ScenarioBuilder::smoke(0)
         }
         .build();
-        assert_lockstep(
-            &sc,
-            PdftspConfig::default().with_parallel_vendor_min(1),
-            &format!("parallel case {case}"),
-        );
+        assert_lockstep(&sc, PdftspConfig::default(), &format!("vendor case {case}"));
     }
 }
 
