@@ -17,6 +17,11 @@
 //!   (a single-core runner cannot show any pipeline speedup at all).
 //!   Setting `PDFTSP_BENCH_STRICT=1` promotes warnings to failures.
 //!
+//! Pool dispatch overhead and the service throughputs are compared only
+//! when both `BENCH_service.json` files record the same
+//! `hardware_threads`: on another host shape those numbers measure the
+//! host, so the gate warns with the two shapes instead.
+//!
 //! The parser is a dependency-free key scanner: for every occurrence of
 //! `"key":` it reads the literal that follows, in document order. Both
 //! emitters write keys in a fixed order, so pairwise comparison by
@@ -189,6 +194,23 @@ fn check_service(gate: &mut Gate, base: &str, fresh: &str) {
             "{file}: run shape differs from baseline — skipping digest comparison"
         ));
     }
+    // Throughput and pool dispatch are host-shaped: compare them only
+    // against a baseline from the same hardware parallelism.
+    let (hw_base, hw_fresh) = (
+        numbers_for(base, "hardware_threads"),
+        numbers_for(fresh, "hardware_threads"),
+    );
+    let pool_fresh = numbers_for(fresh, "pool_ns_per_task");
+    if pool_fresh.is_empty() {
+        gate.fail(format!("{file}: fresh emission lost `pool_ns_per_task`"));
+    }
+    if hw_base != hw_fresh {
+        gate.warn(format!(
+            "{file}: hardware_threads differs ({hw_base:?} baseline vs {hw_fresh:?} fresh) — \
+             throughput and `pool_ns_per_task` measure the host, skipping their comparison"
+        ));
+        return;
+    }
     for key in [
         "sustained_decisions_per_s",
         "pipelined_decisions_per_s",
@@ -205,8 +227,7 @@ fn check_service(gate: &mut Gate, base: &str, fresh: &str) {
     // Pool dispatch overhead: smaller is better, relative + absolute
     // slack (same shape as the span-overhead gate, in nanoseconds).
     let b = numbers_for(base, "pool_ns_per_task");
-    let f = numbers_for(fresh, "pool_ns_per_task");
-    match (b.first(), f.first()) {
+    match (b.first(), pool_fresh.first()) {
         (Some(b), Some(f)) => {
             gate.checks += 1;
             let budget = b.max(0.0) * OVERHEAD_REL_SLACK + POOL_NS_ABS_SLACK;
@@ -219,7 +240,7 @@ fn check_service(gate: &mut Gate, base: &str, fresh: &str) {
         (None, _) => gate.warn(format!(
             "{file}: baseline has no `pool_ns_per_task` — re-emit the committed baseline"
         )),
-        (_, None) => gate.fail(format!("{file}: fresh emission lost `pool_ns_per_task`")),
+        (_, None) => {} // failed above
     }
 }
 
@@ -405,6 +426,53 @@ mod tests {
   "spawn_overhead": {{"pool_ns_per_task": {pool_ns}}}
 }}"#
         )
+    }
+
+    /// `service_doc` recorded on a host with `hw` hardware threads.
+    fn on_host(doc: &str, hw: usize) -> String {
+        doc.replacen("{\n", &format!("{{\n  \"hardware_threads\": {hw},\n"), 1)
+    }
+
+    #[test]
+    fn host_shaped_numbers_compare_only_on_matching_hardware() {
+        let base = on_host(&service_doc(100_000.0, 600.0), 1);
+        // Same host shape: a pool blow-up and a throughput collapse count.
+        let mut gate = Gate {
+            failures: Vec::new(),
+            warnings: Vec::new(),
+            checks: 0,
+            strict: false,
+        };
+        check_service(
+            &mut gate,
+            &base,
+            &on_host(&service_doc(50_000.0, 5000.0), 1),
+        );
+        assert_eq!(gate.failures.len(), 1, "{:?}", gate.failures);
+        assert_eq!(gate.warnings.len(), 1, "{:?}", gate.warnings);
+        // Another host shape: neither is compared, one warning names why.
+        let mut gate = Gate {
+            failures: Vec::new(),
+            warnings: Vec::new(),
+            checks: 0,
+            strict: false,
+        };
+        check_service(
+            &mut gate,
+            &base,
+            &on_host(&service_doc(50_000.0, 5000.0), 2),
+        );
+        assert!(gate.failures.is_empty(), "{:?}", gate.failures);
+        assert_eq!(gate.warnings.len(), 1, "{:?}", gate.warnings);
+        assert!(
+            gate.warnings[0].contains("hardware_threads"),
+            "{:?}",
+            gate.warnings
+        );
+        // A fresh file without the pool figure still fails either way.
+        let lost = on_host(&service_doc(100_000.0, 600.0), 2).replace("pool_ns_per_task", "gone");
+        check_service(&mut gate, &base, &lost);
+        assert_eq!(gate.failures.len(), 1, "{:?}", gate.failures);
     }
 
     fn spot_doc(welfare: f64, bits: &str, bits2: &str) -> String {

@@ -215,10 +215,18 @@ fn market_json(name: &str, sc: &Scenario) -> String {
     )
 }
 
+/// Paired disabled/spans-on days behind `span_overhead`. Odd, so the
+/// median is one pair's ratio.
+const SPAN_PAIRS: usize = 41;
+
 /// Measured cost of turning the span path ON: the multi-vendor day with
 /// disabled telemetry vs with a live [`SpanLog`] sink capturing one
-/// propose span per decision. The disabled side of this comparison is
-/// separately proven allocation-free by the overhead-guard test.
+/// propose span per decision. Each pair runs the two days back to back,
+/// alternating which goes first, and `overhead_frac` is the median of
+/// the pairs' `spans_on / disabled − 1`: host drift between pairs
+/// cancels inside each ratio, and one slow day moves the median by at
+/// most one rank. The disabled side of this comparison is separately
+/// proven allocation-free by the overhead-guard test.
 fn span_overhead_json(sc: &Scenario) -> String {
     fn day_mean_us(sc: &Scenario, tel: Telemetry) -> f64 {
         let mut s = Pdftsp::with_telemetry(sc, PdftspConfig::default(), tel);
@@ -228,29 +236,50 @@ fn span_overhead_json(sc: &Scenario) -> String {
     }
     let mut disabled_us = 0.0;
     let mut enabled_us = 0.0;
+    let mut ratios = Vec::with_capacity(SPAN_PAIRS);
     let mut spans_recorded = 0usize;
-    for _ in 0..REPS {
-        disabled_us += day_mean_us(sc, Telemetry::disabled());
+    for pair in 0..SPAN_PAIRS {
         let log = Arc::new(SpanLog::new());
-        enabled_us += day_mean_us(sc, Telemetry::new(log.clone()));
+        let (off, on) = if pair % 2 == 0 {
+            let off = day_mean_us(sc, Telemetry::disabled());
+            (off, day_mean_us(sc, Telemetry::new(log.clone())))
+        } else {
+            let on = day_mean_us(sc, Telemetry::new(log.clone()));
+            (day_mean_us(sc, Telemetry::disabled()), on)
+        };
         spans_recorded = log.len();
+        disabled_us += off;
+        enabled_us += on;
+        ratios.push(on / off.max(1e-9) - 1.0);
     }
-    disabled_us /= REPS as f64;
-    enabled_us /= REPS as f64;
-    let overhead_frac = (enabled_us - disabled_us) / disabled_us.max(1e-9);
+    disabled_us /= SPAN_PAIRS as f64;
+    enabled_us /= SPAN_PAIRS as f64;
+    ratios.sort_by(f64::total_cmp);
+    let overhead_frac = percentile(&ratios, 0.5);
     println!(
-        "span_overhead: disabled mean {disabled_us:.2} µs, spans-on mean {enabled_us:.2} µs \
-         ({:+.1}%, {spans_recorded} spans/run)",
-        overhead_frac * 100.0
+        "span_overhead: disabled mean {disabled_us:.2} µs, spans-on mean {enabled_us:.2} µs, \
+         median paired overhead {:+.1}% (pairs {:+.1}% .. {:+.1}%, {spans_recorded} spans/run)",
+        overhead_frac * 100.0,
+        ratios[0] * 100.0,
+        ratios[SPAN_PAIRS - 1] * 100.0
     );
     format!(
         concat!(
+            "    \"pairs\": {},\n",
             "    \"disabled_mean_us\": {:.3},\n",
             "    \"spans_on_mean_us\": {:.3},\n",
             "    \"overhead_frac\": {:.4},\n",
+            "    \"overhead_frac_min\": {:.4},\n",
+            "    \"overhead_frac_max\": {:.4},\n",
             "    \"spans_recorded\": {}"
         ),
-        disabled_us, enabled_us, overhead_frac, spans_recorded
+        SPAN_PAIRS,
+        disabled_us,
+        enabled_us,
+        overhead_frac,
+        ratios[0],
+        ratios[SPAN_PAIRS - 1],
+        spans_recorded
     )
 }
 

@@ -24,13 +24,17 @@
 //!
 //! A `spawn_overhead` microbench compares the historical per-batch
 //! scoped-spawn dispatch (fresh OS threads every `parallel_map`) against
-//! the persistent pool's dispatch, in ns per work item.
+//! the persistent pool's dispatch, in ns per work item, with two workers
+//! forced so the pool is really dispatched to on any host.
 //!
 //! `--smoke` shrinks the scenario for CI and, like `bench_milp --smoke`,
 //! still runs every rate and the full determinism sweep but leaves the
 //! committed full-run artifact untouched.
 
-use pdftsp_cluster::{configured_threads, hardware_threads, pool_stats, set_thread_override};
+use pdftsp_cluster::{
+    configured_threads, effective_workers, hardware_threads, pool_stats, set_thread_override,
+    thread_override,
+};
 use pdftsp_sim::{
     AuctionService, FaultPlan, FaultSpec, Observability, ServiceConfig, ServiceOutcome,
 };
@@ -252,11 +256,20 @@ fn determinism_json(sc: &Scenario, plan: &FaultPlan, shards: usize) -> String {
     rows.join(",\n")
 }
 
+/// Workers the dispatch microbench forces: with one configured worker
+/// `parallel_map` runs the batch inline on the caller, which would time
+/// a loop rather than pool dispatch.
+const DISPATCH_WORKERS: usize = 2;
+
 /// Dispatch-overhead microbench: the historical per-batch scoped-spawn
 /// path (fresh OS threads every call, as `parallel_map` worked before
-/// the persistent pool) vs pool dispatch, ns per trivial work item.
+/// the persistent pool) vs pool dispatch, ns per trivial work item, both
+/// at [`DISPATCH_WORKERS`] workers. The thread override in force before
+/// the call is restored afterwards.
 fn spawn_overhead_json(reps: usize) -> String {
     use std::hint::black_box;
+    let before = thread_override();
+    set_thread_override(Some(DISPATCH_WORKERS));
     const ITEMS: usize = 64;
     let items: Vec<u64> = (0..ITEMS as u64).collect();
     let work = |&x: &u64| black_box(x.wrapping_mul(0x9E37_79B9).rotate_left(7));
@@ -268,7 +281,7 @@ fn spawn_overhead_json(reps: usize) -> String {
     }
     let pool_ns = pool_start.elapsed().as_nanos() as f64 / (reps * ITEMS) as f64;
 
-    let workers = configured_threads().clamp(2, ITEMS);
+    let workers = configured_threads();
     let chunk = ITEMS.div_ceil(workers);
     let scoped_start = std::time::Instant::now();
     for _ in 0..reps {
@@ -286,15 +299,17 @@ fn spawn_overhead_json(reps: usize) -> String {
         black_box(out);
     }
     let scoped_ns = scoped_start.elapsed().as_nanos() as f64 / (reps * ITEMS) as f64;
+    let effective = effective_workers(ITEMS);
+    set_thread_override(before);
     println!(
-        "spawn overhead: scoped {scoped_ns:.0} ns/task vs pool {pool_ns:.0} ns/task ({ITEMS}-item batches, {reps} reps)"
+        "spawn overhead: scoped {scoped_ns:.0} ns/task vs pool {pool_ns:.0} ns/task ({ITEMS}-item batches, {reps} reps, {effective} workers)"
     );
     format!(
         concat!(
-            "{{\"items_per_batch\": {}, \"reps\": {}, ",
+            "{{\"items_per_batch\": {}, \"reps\": {}, \"workers\": {}, ",
             "\"scoped_ns_per_task\": {:.1}, \"pool_ns_per_task\": {:.1}}}"
         ),
-        ITEMS, reps, scoped_ns, pool_ns
+        ITEMS, reps, effective, scoped_ns, pool_ns
     )
 }
 

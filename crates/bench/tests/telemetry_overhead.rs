@@ -155,3 +155,66 @@ fn disabled_span_path_never_allocates() {
         "disabled span path allocated {allocations} times over 100k sites"
     );
 }
+
+/// Counts the feasible `DpRun`s of a run. Matching on a borrowed event
+/// allocates nothing, so the counting allocator sees only the scheduler.
+#[derive(Default)]
+struct FeasibleDpRuns(std::sync::atomic::AtomicU64);
+
+impl pdftsp_telemetry::Sink for FeasibleDpRuns {
+    fn emit(&self, event: &Event) {
+        if let Event::DpRun { feasible: true, .. } = event {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+}
+
+/// Once the scheduler's scratch is warm, evaluating a multi-vendor task
+/// allocates only the placements of the DP runs that found a schedule:
+/// the vendor list, the visiting order, the start-slot memo and the
+/// memoized results live in `EvalScratch`, and a memo hit reuses a result
+/// by index instead of cloning it. A first pass over the day sizes the
+/// scratch; the second pass decides the same tasks again and counts the
+/// decisions rejected before any dual update, which keep nothing,
+/// skipping the ones whose auction-log push grows the record vector. The slack covers the few
+/// capacity doublings a DP larger than any in the first pass may still
+/// need.
+#[test]
+fn warm_multi_vendor_decide_allocates_only_dp_outputs() {
+    const GROWTH_SLACK: u64 = 8;
+    let sc = multi_vendor_scenario();
+    let feasible = std::sync::Arc::new(FeasibleDpRuns::default());
+    let mut s = Pdftsp::with_telemetry(
+        &sc,
+        PdftspConfig::default(),
+        Telemetry::new(feasible.clone()),
+    );
+    for task in &sc.tasks {
+        s.decide(task, &sc);
+    }
+    let (mut checked, mut allocations, mut outputs) = (0usize, 0u64, 0u64);
+    for task in &sc.tasks {
+        let grows_log = s.records().len().is_power_of_two();
+        let runs_before = feasible.0.load(std::sync::atomic::Ordering::Relaxed);
+        let before = ALLOCS.with(Cell::get);
+        let decision = s.decide(task, &sc);
+        let allocated = ALLOCS.with(Cell::get) - before;
+        // Admissions keep their schedule, and a capacity rejection runs
+        // the (event-logged) dual update first: count only the rest.
+        let priced = s.records().last().is_some_and(|r| r.capacity_rejected);
+        if decision.is_admitted() || priced || grows_log {
+            continue;
+        }
+        checked += 1;
+        allocations += allocated;
+        outputs += feasible.0.load(std::sync::atomic::Ordering::Relaxed) - runs_before;
+    }
+    assert!(
+        checked > 50 && outputs > 50,
+        "too few warm rejections with DP work: {checked} decisions, {outputs} DP outputs"
+    );
+    assert!(
+        allocations <= outputs + GROWTH_SLACK,
+        "{allocations} allocations over {checked} rejected decisions for {outputs} feasible DP runs"
+    );
+}

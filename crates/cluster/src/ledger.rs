@@ -265,18 +265,19 @@ impl CapacityLedger {
     /// Batched [`CapacityLedger::fits`] over the slot span `[start, end]`
     /// of one node row.
     ///
-    /// Clears `out` and pushes one flag per slot (`out[j]` answers for slot
+    /// Clears `out` and fills one flag per slot (`out[j]` answers for slot
     /// `start + j`), with the per-call rate/capacity lookups hoisted out of
     /// the slot loop. The per-arrival delta-grid builder calls this once
     /// per `(task, node)` instead of `fits` once per `(task, node, slot)`.
+    /// The in-horizon part is one branchless zipped pass over the node's
+    /// compute and memory rows; slots past the horizon stay `false`.
     pub fn fits_span(&self, task: &Task, k: NodeId, start: Slot, end: Slot, out: &mut Vec<bool>) {
         out.clear();
         if start > end {
             return;
         }
-        let span = end - start + 1;
-        if k >= self.nodes {
-            out.resize(span, false);
+        out.resize(end - start + 1, false);
+        if k >= self.nodes || start >= self.horizon {
             return;
         }
         let rate = task.rate(k);
@@ -284,12 +285,11 @@ impl CapacityLedger {
         let compute_cap = self.compute_cap[k];
         let mem_cap = self.adapter_mem_cap[k];
         let row = k * self.horizon;
-        out.reserve(span);
-        for t in start..=end {
-            let ok = t < self.horizon
-                && rate <= compute_cap - self.compute_used[row + t]
-                && mem <= mem_cap - self.mem_used[row + t];
-            out.push(ok);
+        let last = row + end.min(self.horizon - 1);
+        let compute = &self.compute_used[row + start..=last];
+        let memory = &self.mem_used[row + start..=last];
+        for ((ok, &cu), &mu) in out.iter_mut().zip(compute).zip(memory) {
+            *ok = (rate <= compute_cap - cu) & (mem <= mem_cap - mu);
         }
     }
 

@@ -24,7 +24,7 @@
 //! it slices a pre-built [`DeltaGrid`] by start offset, reuses the
 //! [`DpBuffers`] arena across calls with no full-table clear, restricts
 //! each DP row to the reachable work trapezoid, applies only the grid's
-//! precomputed per-column Pareto-front candidates, and terminates early
+//! precomputed per-column front candidates, and terminates early
 //! once the running optimum meets the column-minima lower bound. The
 //! value/choice tables live in a flat, slot-major, *padded* slab: each
 //! row is `stride = cols.next_multiple_of(LANES)` wide so every row
@@ -42,7 +42,7 @@ use crate::grid::{DeltaGrid, LB_SLACK};
 use crate::kernel::{self, Isa};
 use pdftsp_cluster::CapacityLedger;
 use pdftsp_telemetry::{Event, Telemetry};
-use pdftsp_types::{NodeId, Scenario, Slot, Task};
+use pdftsp_types::{NodeId, Scenario, Slot, Task, VendorQuote};
 
 /// Everything `find_schedule` consults.
 #[derive(Clone, Copy)]
@@ -123,16 +123,25 @@ pub struct DpBuffers {
     prefix: Vec<f64>,
     /// Scratch for [`DeltaGrid::cost_lower_bound`] calls.
     pub(crate) col_scratch: Vec<f64>,
+    /// The reconstruction walk's placements, before the exact copy out.
+    path: Vec<(NodeId, Slot)>,
 }
 
 /// Everything one scheduler instance reuses across arrivals: the shared
-/// delta grid plus the DP arena.
+/// delta grid, the DP arena and the vendor loop's buffers.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     /// The per-arrival `(node, slot)` cost matrix.
     pub grid: DeltaGrid,
     /// The DP work area.
     pub bufs: DpBuffers,
+    /// Vendors that survive the admission bound: quote, start slot and
+    /// the bound on `F(il)`.
+    pub(crate) plans: Vec<(VendorQuote, Slot, f64)>,
+    /// The order the vendor loop visits `plans` in.
+    pub(crate) order: Vec<usize>,
+    /// This arrival's DP results, one per distinct start slot.
+    pub(crate) memo: Vec<(Slot, Option<DpResult>)>,
 }
 
 /// Runs `findSchedule` for `task` with execution window `[start, d_i]`.
@@ -269,9 +278,9 @@ fn dp_on_grid(
     // same ascending-node order (same strict-< tie-break) as the
     // reference's cell-major sweep, so maintained cells are bit-identical.
     // The per-column candidate fronts come precomputed from the grid
-    // build; dropping a dominated node never changes a cell or a choice
-    // tag (see the grid module docs), and the grid's raw-rate dominance
-    // only ever keeps a superset of the quantized front.
+    // build, pruned from both sides on raw rates; dropping such a node
+    // never changes a cell or a choice tag at any refinement (see the
+    // grid module docs for the proof).
     let isa = Isa::detected();
     let mut effective = window;
     for t_rel in 1..=window {
@@ -320,18 +329,20 @@ fn dp_on_grid(
     // Reconstruct. The walk starts at (effective, w_target) and loses at
     // most `mps` work units per row, so it stays inside each row's
     // maintained span [w_lo(t), w_hi(t)] (plus the explicitly zeroed
-    // column 0) — never touching unmaintained cells.
-    let mut placements = Vec::new();
+    // column 0) — never touching unmaintained cells. It collects into
+    // the reused `path`, so the output is one exactly sized allocation.
+    bufs.path.clear();
     let mut w = w_target;
     for t_rel in (1..=effective).rev() {
         let c = bufs.choice[t_rel * stride + w];
         if c > 0 {
             let pos = (c - 1) as usize;
-            placements.push((grid.compatible()[pos], start + t_rel - 1));
+            bufs.path.push((grid.compatible()[pos], start + t_rel - 1));
             w = w.saturating_sub(bufs.s_units[pos] as usize);
         }
     }
-    placements.reverse();
+    bufs.path.reverse();
+    let placements = bufs.path.to_vec();
 
     let energy = ctx.scenario.cost.total_e(task, placements.iter());
     Some(DpResult {

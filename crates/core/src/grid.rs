@@ -23,24 +23,82 @@
 //! usable cells. The suffix minima of λ, φ, and e are precomputed per
 //! build, so each vendor's bound costs O(1) beyond the column-minima sum.
 //!
-//! Beyond the raw cells, the build also precomputes one **Pareto front
-//! per column**: the compatible nodes not dominated in that slot by an
-//! earlier-indexed node with `delta ≤` and `rate ≥`. The DP row sweep
-//! iterates only these candidates ([`DeltaGrid::col_front`]), so the
-//! dominance filter runs once per arrival instead of once per DP row per
-//! vendor per refinement. Raw-rate dominance is quantization-free: floor
-//! division is monotone, so `rate_b ≥ rate_a` implies `⌊rate_b/u⌋ ≥
-//! ⌊rate_a/u⌋` for every work unit `u` — a front computed on raw rates is
-//! valid for every refinement the DP tries.
+//! Beyond the raw cells, the build also precomputes one **candidate
+//! front per column**: the compatible nodes that can still win a cell of
+//! a DP row sweeping that slot. The DP row sweep iterates only these
+//! candidates ([`DeltaGrid::col_front`]), so the dominance filter runs
+//! once per arrival instead of once per DP row per vendor per refinement.
+//! A node `c` with a finite delta in column `j` is dropped when either
+//!
+//! * **earlier dominance** — some node `e < c` has `rate_e ≥ rate_c` and
+//!   `Δ_e ≤ Δ_c`; or
+//! * **later dominance** — some node `e > c` has `rate_e ≥ rate_c` and
+//!   `Δ_c − Δ_e > margin` (the subtraction evaluated in `f64`), where
+//!   `margin = 2·ulp(V)` and `V = Δmax·(2·width + 2)` with `Δmax` the
+//!   largest finite `|Δ|` in the grid.
+//!
+//! Raw-rate dominance is quantization-free: floor division is monotone,
+//! so `rate_e ≥ rate_c` implies `gain_e = ⌊rate_e/u⌋ ≥ ⌊rate_c/u⌋ = gain_c`
+//! for every work unit `u` — a front computed on raw rates is valid for
+//! every refinement the DP tries.
+//!
+//! **Why dropping is exact.** The DP fills a cell `cur[w]` by starting
+//! from the idle value `prev[w]` (tag 0) and folding the candidates in
+//! ascending node order under a strict `<`: candidate `c` reads
+//! `cand_c = fl(prev[src_c] + Δ_c)` with `src_c = max(w − gain_c, 0)`.
+//! The cell ends with the minimum over idle and all candidates, tagged
+//! with the *first* one reaching it. Two facts about the DP rows:
+//!
+//! 1. every row is monotone non-decreasing in `w` (row 0 is `[0, ∞, …]`,
+//!    and each later cell is a min of terms `fl(prev[src(w)] + Δ)` whose
+//!    source index and rounding are both monotone in `w`), so
+//!    `gain_e ≥ gain_c` gives `prev[src_e] ≤ prev[src_c]`;
+//! 2. every finite DP value is a rounded sum of at most `width` deltas,
+//!    so `|prev[·] + Δ| ≤ (width + 1)·Δmax·(1 + tiny) ≤ V`, and rounding
+//!    one such sum moves it by at most `ulp(V)/2`.
+//!
+//! *Later dominance.* If `prev[src_c] = ∞` the candidate `c` is `∞` and
+//! never passes the strict `<`. Otherwise both sources are finite, and
+//! `fl(Δ_c − Δ_e) > 2·ulp(V)` puts the exact gap above `1.5·ulp(V)`
+//! (that subtraction also rounds by at most `ulp(V)/2`), so the exact
+//! sums differ by more than `1.5·ulp(V)` and their roundings by more than
+//! `0.5·ulp(V)`: `cand_e < cand_c` strictly, in every cell. Node `c`
+//! never reaches a cell's minimum, let alone first. When `V` overflows,
+//! `margin` is `∞` or NaN and the rule drops nothing.
+//!
+//! *Earlier dominance.* `e < c` with `Δ_e ≤ Δ_c` and `prev[src_e] ≤
+//! prev[src_c]` gives `cand_e ≤ cand_c` (rounding is monotone), so
+//! whenever `c` reaches the minimum, the earlier `e` reached it first.
+//!
+//! So the first node to reach a cell's minimum is never dropped: a
+//! later-dominated node never reaches it, and an earlier-dominated one is
+//! never first. Folding only the kept nodes, in the same ascending order
+//! and with the same strict `<`, therefore gives the same value bits and
+//! the same choice tag in every cell, whichever dropped node dominated
+//! whichever. On the 48-node multi-vendor market about 33 nodes are
+//! usable per column; earlier dominance alone keeps 5.7 of them, both
+//! rules together 1.8.
+//!
+//! **Fused build.** [`DeltaGrid::build`] makes one pass per node row: the
+//! [`Isa::delta_row`] fill, the capacity mask, the select-style folds of
+//! the column minima (delta, λ, φ, e) and of the largest `|Δ|`, and the
+//! earlier-dominance flags. The flags come from per-*rate-class* running
+//! minima: the `R` distinct compatible rates, fastest first, and
+//! `run[q][j]` = the least delta seen so far in column `j` among nodes of
+//! class `≤ q` (rate at least the `q`-th fastest). A node of class `q`
+//! reads `run[q]` and then lowers `run[q..R]`. A backward pass over the
+//! node rows does the same for later dominance against `margin`, and a
+//! flag gather writes the per-column fronts in ascending node order.
+//! `R` is 2 on every generated scenario (the A100/A40 split), so each
+//! row costs a few zipped passes over `width` cells.
 //!
 //! **Bit-equivalence.** Each cell is computed with the exact expression
 //! (and operation order) of the reference DP, so the optimized pipeline's
 //! dp costs, schedules, and admissions are bit-identical to the
-//! reference's (proven by `tests/pipeline_equivalence.rs`). The column
-//! fronts preserve that: they drop only candidates whose quantized
-//! `(gain, delta)` is dominated, and under the DP's strict-`<` tie-break a
-//! dominated candidate can never win a cell, so pruning it changes no
-//! value and no choice tag (the same argument the per-row front used).
+//! reference's (proven by `tests/pipeline_equivalence.rs`), and the
+//! column fronts drop only candidates that cannot change a cell's value
+//! or choice tag (above; checked against a brute-force fold by the unit
+//! tests here).
 
 use crate::dp::DpContext;
 use crate::kernel::Isa;
@@ -95,24 +153,40 @@ pub struct DeltaGrid {
     front_idx: Vec<u32>,
     /// Compatible-node index of each front candidate, ascending per column.
     front_node: Vec<u32>,
-    /// Raw rate `s_ik` of each front candidate (dominance key).
-    front_rate: Vec<u64>,
     /// Delta of each front candidate (same bits as its grid cell).
     front_delta: Vec<f64>,
     /// Samples per compute pricing unit, captured at build time (the
     /// admission bound prices the task's work term in these units).
     compute_unit: f64,
-    /// Scratch for the ledger's batched fits check.
+    /// Build scratch: the distinct compatible rates, fastest first.
+    class_rates: Vec<u64>,
+    /// Build scratch: each compatible node's rate class.
+    class_of: Vec<usize>,
+    /// Build scratch: class-major running minima, `classes × width`.
+    run_min: Vec<f64>,
+    /// Build scratch: per-column largest finite `|Δ|`.
+    abs_max: Vec<f64>,
+    /// Build scratch: node-major front-membership flags.
+    keep: Vec<bool>,
+    /// Scratch for the ledger's batched fits check (all `true` unmasked).
     fits_buf: Vec<bool>,
 }
 
-/// One column's Pareto-front candidates, parallel slices.
+/// One column's front candidates, parallel slices.
 #[derive(Debug, Clone, Copy)]
 pub struct ColumnFront<'a> {
     /// Compatible-node indices (`c`, not node ids), ascending.
     pub nodes: &'a [u32],
     /// The candidates' deltas (bit-identical to the grid cells).
     pub deltas: &'a [f64],
+}
+
+/// `cur[j] ← min(cur[j], row[j])`, select-style, over one class row.
+#[inline(always)]
+fn lower_into(cur: &mut [f64], row: &[f64]) {
+    for (m, &d) in cur.iter_mut().zip(row) {
+        *m = if d < *m { d } else { *m };
+    }
 }
 
 impl DeltaGrid {
@@ -135,7 +209,6 @@ impl DeltaGrid {
         self.e_suf.clear();
         self.front_idx.clear();
         self.front_node.clear();
-        self.front_rate.clear();
         self.front_delta.clear();
         self.compute_unit = ctx.compute_unit;
         self.base = base;
@@ -146,7 +219,8 @@ impl DeltaGrid {
             self.width = 0;
             return;
         }
-        self.width = self.deadline - base + 1;
+        let width = self.deadline - base + 1;
+        self.width = width;
         for k in 0..scenario.nodes.len() {
             if task.rate(k) > 0 && task.memory_gb <= scenario.adapter_memory(k) {
                 self.compatible.push(k);
@@ -156,88 +230,124 @@ impl DeltaGrid {
         if self.compatible.is_empty() {
             return;
         }
+        let n = self.compatible.len();
         self.min_rate = *self.rates.iter().min().expect("non-empty");
         self.max_rate = *self.rates.iter().max().expect("non-empty");
-        self.deltas
-            .resize(self.compatible.len() * self.width, f64::INFINITY);
-        self.col_min.resize(self.width, f64::INFINITY);
-        self.lam_suf.resize(self.width, f64::INFINITY);
-        self.phi_suf.resize(self.width, f64::INFINITY);
-        self.e_suf.resize(self.width, f64::INFINITY);
+        // Rate classes, fastest first: class `q` holds the nodes with the
+        // `q`-th largest distinct rate, so "rate ≥ rate_c" is "class ≤ q".
+        self.class_rates.clear();
+        self.class_rates.extend_from_slice(&self.rates);
+        self.class_rates.sort_unstable_by(|a, b| b.cmp(a));
+        self.class_rates.dedup();
+        let classes = self.class_rates.len();
+        self.class_of.clear();
+        for &r in &self.rates {
+            let q = self.class_rates.iter().position(|&x| x == r);
+            self.class_of.push(q.expect("every rate has a class"));
+        }
+        self.deltas.resize(n * width, f64::INFINITY);
+        self.col_min.resize(width, f64::INFINITY);
+        self.lam_suf.resize(width, f64::INFINITY);
+        self.phi_suf.resize(width, f64::INFINITY);
+        self.e_suf.resize(width, f64::INFINITY);
+        self.abs_max.clear();
+        self.abs_max.resize(width, 0.0);
+        self.run_min.clear();
+        self.run_min.resize(classes * width, f64::INFINITY);
+        self.keep.clear();
+        self.keep.resize(n * width, false);
+        if ctx.ledger.is_none() {
+            self.fits_buf.clear();
+            self.fits_buf.resize(width, true);
+        }
         let isa = Isa::detected();
-        for c in 0..self.compatible.len() {
+        let ew = task.energy_weight;
+        // Forward pass, one fused sweep per node row.
+        for c in 0..n {
             let k = self.compatible[c];
-            let masked = if let Some(ledger) = ctx.ledger {
+            if let Some(ledger) = ctx.ledger {
                 ledger.fits_span(task, k, base, self.deadline, &mut self.fits_buf);
-                true
-            } else {
-                false
-            };
+            }
             let lambda = &ctx.duals.lambda_row(k)[base..=self.deadline];
             let phi = &ctx.duals.phi_row(k)[base..=self.deadline];
             let prices = &scenario.cost.prices_row(k)[base..=self.deadline];
             // Same expression — and the same operation order — as the
             // reference DP's per-cell delta, so values are bit-identical.
             let s_price = task.rate(k) as f64 / ctx.compute_unit;
-            let row = &mut self.deltas[c * self.width..(c + 1) * self.width];
-            isa.delta_row(
-                lambda,
-                phi,
-                prices,
-                s_price,
-                task.memory_gb,
-                task.energy_weight,
-                row,
-            );
-            for j in 0..self.width {
-                if masked && !self.fits_buf[j] {
-                    row[j] = f64::INFINITY; // the cell cannot host the task
-                    continue;
-                }
-                let delta = row[j];
-                let e = prices[j] * task.energy_weight;
-                if delta < self.col_min[j] {
-                    self.col_min[j] = delta;
-                }
-                if lambda[j] < self.lam_suf[j] {
-                    self.lam_suf[j] = lambda[j];
-                }
-                if phi[j] < self.phi_suf[j] {
-                    self.phi_suf[j] = phi[j];
-                }
-                if e < self.e_suf[j] {
-                    self.e_suf[j] = e;
-                }
+            let row = &mut self.deltas[c * width..(c + 1) * width];
+            isa.delta_row(lambda, phi, prices, s_price, task.memory_gb, ew, row);
+            let q = self.class_of[c];
+            let fits = &self.fits_buf[..width];
+            let seen = &self.run_min[q * width..(q + 1) * width];
+            let keep = &mut self.keep[c * width..(c + 1) * width];
+            let col_min = &mut self.col_min[..width];
+            let lam_suf = &mut self.lam_suf[..width];
+            let phi_suf = &mut self.phi_suf[..width];
+            let e_suf = &mut self.e_suf[..width];
+            let abs_max = &mut self.abs_max[..width];
+            for j in 0..width {
+                let ok = fits[j];
+                // A refused cell cannot host the task: +∞, and it feeds
+                // none of the usable-cell minima.
+                let d = if ok { row[j] } else { f64::INFINITY };
+                row[j] = d;
+                col_min[j] = if d < col_min[j] { d } else { col_min[j] };
+                let l = if ok { lambda[j] } else { f64::INFINITY };
+                lam_suf[j] = if l < lam_suf[j] { l } else { lam_suf[j] };
+                let p = if ok { phi[j] } else { f64::INFINITY };
+                phi_suf[j] = if p < phi_suf[j] { p } else { phi_suf[j] };
+                let e = if ok { prices[j] * ew } else { f64::INFINITY };
+                e_suf[j] = if e < e_suf[j] { e } else { e_suf[j] };
+                let a = d.abs();
+                abs_max[j] = if a < f64::INFINITY && a > abs_max[j] {
+                    a
+                } else {
+                    abs_max[j]
+                };
+                // Kept unless an earlier node at least as fast is at
+                // least as cheap here (`seen` is never NaN: it only ever
+                // takes a smaller delta).
+                keep[j] = d < f64::INFINITY && seen[j] > d;
+            }
+            for r in q..classes {
+                lower_into(&mut self.run_min[r * width..(r + 1) * width], row);
             }
         }
-        // Per-column Pareto fronts over raw rates (see the module docs for
-        // why raw-rate dominance is safe under every work quantization).
-        // `dominated` is a branchless fold: fronts are a handful of
-        // entries, so predicated compares beat a branchy early-out.
+        // Later dominance needs the grid-wide largest |Δ| for its margin.
+        let d_max = self.abs_max.iter().fold(0.0f64, |m, &a| m.max(a));
+        let v = d_max * (2 * width + 2) as f64;
+        let margin = 2.0 * (v.next_up() - v);
+        // Backward pass: the same running minima over later nodes.
+        self.run_min.fill(f64::INFINITY);
+        for c in (0..n).rev() {
+            let q = self.class_of[c];
+            let row = &self.deltas[c * width..(c + 1) * width];
+            let later = &self.run_min[q * width..(q + 1) * width];
+            let keep = &mut self.keep[c * width..(c + 1) * width];
+            for ((kp, &d), &m) in keep.iter_mut().zip(row).zip(later) {
+                // False when `margin` is NaN (an overflowed `V`): keep.
+                let dominated = d - m > margin;
+                *kp &= !dominated;
+            }
+            for r in q..classes {
+                lower_into(&mut self.run_min[r * width..(r + 1) * width], row);
+            }
+        }
+        // Gather the flags into per-column fronts, ascending node order.
         self.front_idx.push(0);
-        for j in 0..self.width {
-            let col_start = *self.front_idx.last().expect("pushed above") as usize;
-            for c in 0..self.compatible.len() {
-                let delta = self.deltas[c * self.width + j];
-                if !delta.is_finite() {
-                    continue; // capacity-masked cell
-                }
-                let rate = self.rates[c];
-                let mut dominated = false;
-                for i in col_start..self.front_node.len() {
-                    dominated |= self.front_delta[i] <= delta && self.front_rate[i] >= rate;
-                }
-                if !dominated {
+        for j in 0..width {
+            for c in 0..n {
+                let i = c * width + j;
+                if self.keep[i] {
                     self.front_node.push(c as u32);
-                    self.front_rate.push(rate);
-                    self.front_delta.push(delta);
+                    self.front_delta.push(self.deltas[i]);
                 }
             }
             self.front_idx.push(self.front_node.len() as u32);
         }
         // Column minima → suffix minima (right-to-left), so every start
         // offset reads its window's cheapest λ/φ/e cell in O(1).
-        for j in (0..self.width.saturating_sub(1)).rev() {
+        for j in (0..width.saturating_sub(1)).rev() {
             self.lam_suf[j] = self.lam_suf[j].min(self.lam_suf[j + 1]);
             self.phi_suf[j] = self.phi_suf[j].min(self.phi_suf[j + 1]);
             self.e_suf[j] = self.e_suf[j].min(self.e_suf[j + 1]);
@@ -309,8 +419,9 @@ impl DeltaGrid {
         &self.col_min
     }
 
-    /// Column `j`'s precomputed Pareto-front candidates (ascending node
-    /// index). Valid for any work quantization the DP tries.
+    /// Column `j`'s precomputed front candidates (ascending node index):
+    /// the nodes neither earlier- nor later-dominated (module docs). Valid
+    /// for any work quantization the DP tries.
     #[must_use]
     pub fn col_front(&self, j: usize) -> ColumnFront<'_> {
         let lo = self.front_idx[j] as usize;
@@ -394,6 +505,8 @@ mod tests {
     use pdftsp_types::{
         CostGrid, GpuModel, NodeSpec, Scenario, Schedule, TaskBuilder, VendorQuote,
     };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn scenario(prices: Vec<f64>, nodes: usize, horizon: usize) -> Scenario {
         Scenario {
@@ -408,7 +521,7 @@ mod tests {
         }
     }
 
-    fn task(work: u64, rates: Vec<u64>, deadline: usize) -> pdftsp_types::Task {
+    fn task(work: u64, rates: Vec<u64>, deadline: usize) -> Task {
         TaskBuilder::new(0, 0, deadline)
             .dataset(work)
             .memory_gb(10.0)
@@ -602,5 +715,203 @@ mod tests {
         assert!(grid.cost_lower_bound(&t, 4, &mut scratch).is_none());
         // Start past the deadline.
         assert!(grid.cost_lower_bound(&t, 6, &mut scratch).is_none());
+    }
+
+    /// The fronts' definition, evaluated by brute force over every pair
+    /// of compatible nodes: finite, not earlier-dominated, and not
+    /// later-dominated by more than the margin.
+    fn brute_front(grid: &DeltaGrid, j: usize, margin: f64) -> Vec<u32> {
+        let n = grid.compatible().len();
+        let d = |c: usize| grid.node_row(c)[j];
+        let r = grid.rates();
+        (0..n)
+            .filter(|&c| {
+                d(c).is_finite()
+                    && !(0..c).any(|e| r[e] >= r[c] && d(e) <= d(c))
+                    && !(c + 1..n).any(|e| r[e] >= r[c] && d(c) - d(e) > margin)
+            })
+            .map(|c| c as u32)
+            .collect()
+    }
+
+    /// The largest finite delta anchors `Δmax`, so the tests know the
+    /// margin before they place deltas around it.
+    const ANCHOR: f64 = 64.0;
+
+    fn margin_for(width: usize) -> f64 {
+        let v = ANCHOR * (2 * width + 2) as f64;
+        2.0 * (v.next_up() - v)
+    }
+
+    /// One adversarial delta next to `b`: an exact tie, 1-ulp gaps, gaps
+    /// just below, at and just above the margin, or an unrelated value.
+    fn adversarial(rng: &mut StdRng, b: f64, margin: f64) -> f64 {
+        match rng.gen_range(0u32..9) {
+            0 => b,
+            1 => b.next_up(),
+            2 => b.next_down().max(0.0),
+            3 => b + margin,
+            4 => (b + margin).next_down(),
+            5 => (b + margin).next_up(),
+            6 => (b + margin * 1.5).next_up(),
+            7 => (b - margin).max(0.0),
+            _ => rng.gen_range(0.0f64..ANCHOR / 2.0),
+        }
+    }
+
+    /// A random instance whose deltas are exactly its prices (zero duals,
+    /// energy weight 1), with a few cells capacity-masked by a ledger.
+    fn adversarial_grid(rng: &mut StdRng) -> (DeltaGrid, Task) {
+        const RATES: [u64; 5] = [700, 1000, 1000, 1500, 2200];
+        let nodes = rng.gen_range(2usize..9);
+        let horizon = rng.gen_range(1usize..13);
+        let margin = margin_for(horizon);
+        let mut prices = vec![0.0; nodes * horizon];
+        for j in 0..horizon {
+            let b = rng.gen_range(0.0f64..ANCHOR / 2.0);
+            for k in 0..nodes {
+                prices[k * horizon + j] = adversarial(rng, b, margin);
+            }
+        }
+        let anchor = (rng.gen_range(0usize..nodes), rng.gen_range(0usize..horizon));
+        prices[anchor.0 * horizon + anchor.1] = ANCHOR;
+        let sc = scenario(prices, nodes, horizon);
+        let rates: Vec<u64> = (0..nodes)
+            .map(|_| RATES[rng.gen_range(0usize..5)])
+            .collect();
+        let t = task(rng.gen_range(500u64..9_000), rates, horizon - 1);
+        let duals = DualState::new(&sc, 1000.0);
+        let mut ledger = CapacityLedger::new(&sc);
+        let blocker = task(4000, vec![4000; nodes], horizon - 1);
+        for u in 0..rng.gen_range(0usize..3) {
+            let cell = (rng.gen_range(0usize..nodes), rng.gen_range(0usize..horizon));
+            if cell != anchor {
+                let s = Schedule::new(u + 1, VendorQuote::none(), vec![cell]);
+                let _ = ledger.commit(&blocker, &s); // a repeated cell is full already
+            }
+        }
+        let ctx = DpContext {
+            scenario: &sc,
+            duals: &duals,
+            ledger: Some(&ledger),
+            compute_unit: 1000.0,
+            telemetry: None,
+        };
+        let mut grid = DeltaGrid::default();
+        grid.build(&ctx, &t, 0);
+        (grid, t)
+    }
+
+    #[test]
+    fn fronts_match_the_brute_force_definition() {
+        let mut later_drops = 0usize;
+        for case in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(0xF407_0000 + case);
+            let (grid, _) = adversarial_grid(&mut rng);
+            for j in 0..grid.width() {
+                let front = grid.col_front(j);
+                let want = brute_front(&grid, j, margin_for(grid.width()));
+                assert_eq!(front.nodes, &want[..], "case {case} column {j}");
+                for (&c, &d) in front.nodes.iter().zip(front.deltas) {
+                    assert_eq!(d.to_bits(), grid.node_row(c as usize)[j].to_bits());
+                }
+                // Nodes only the later rule removed.
+                let n = grid.compatible().len();
+                let r = grid.rates();
+                let one_sided = (0..n)
+                    .filter(|&c| {
+                        let d = |c: usize| grid.node_row(c)[j];
+                        d(c).is_finite() && !(0..c).any(|e| r[e] >= r[c] && d(e) <= d(c))
+                    })
+                    .count();
+                later_drops += one_sided - want.len();
+            }
+        }
+        assert!(
+            later_drops > 100,
+            "later dominance barely exercised: {later_drops}"
+        );
+    }
+
+    /// Folding a DP row over the pruned front gives the same value bits
+    /// and choice tags as folding it over every compatible node in
+    /// ascending order, for random monotone `prev` rows (with `prev[0] =
+    /// 0` and `+∞` tails) at both refinements the DP tries.
+    #[test]
+    fn pruned_fronts_fold_bit_identically() {
+        /// One strict-`<` cell fold, as the reference DP does it.
+        fn fold(
+            prev: &[f64],
+            w: usize,
+            cands: impl Iterator<Item = (usize, usize, f64)>,
+        ) -> (u64, u16) {
+            let mut cur = prev[w];
+            let mut tag = 0u16;
+            for (c, gain, delta) in cands {
+                let cand = prev[w.saturating_sub(gain)] + delta;
+                if cand < cur {
+                    cur = cand;
+                    tag = c as u16 + 1;
+                }
+            }
+            (cur.to_bits(), tag)
+        }
+        let mut cells = 0usize;
+        let mut node_wins = 0usize;
+        for case in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(0xF01D_0000 + case);
+            let (grid, t) = adversarial_grid(&mut rng);
+            let n = grid.compatible().len();
+            let width = grid.width();
+            let cap = width as f64 * ANCHOR;
+            for refinement in [8u64, 64] {
+                let unit = (grid.min_rate() / refinement).max(1);
+                let gains: Vec<usize> = grid.rates().iter().map(|&r| (r / unit) as usize).collect();
+                let w_max = (t.work.div_ceil(unit) as usize).min(4 * gains.iter().max().unwrap());
+                for j in 0..width {
+                    // A monotone row: 0 at w = 0, flat runs, sums of this
+                    // column's deltas (so candidate sums tie and round),
+                    // random values, then a +∞ tail.
+                    let mut prev = vec![0.0f64; w_max + 1];
+                    for w in 1..=w_max {
+                        let last = prev[w - 1];
+                        prev[w] = match rng.gen_range(0u32..4) {
+                            0 => last,
+                            1 => last + grid.node_row(rng.gen_range(0usize..n))[j],
+                            2 => last + rng.gen_range(0.0f64..ANCHOR),
+                            _ => last + rng.gen_range(0.0f64..1.0) * (cap - last).max(0.0),
+                        };
+                        if prev[w] > cap {
+                            prev[w] = f64::INFINITY;
+                        }
+                    }
+                    let tail = rng.gen_range(1usize..w_max + 2);
+                    for v in &mut prev[tail..] {
+                        *v = f64::INFINITY;
+                    }
+                    let front = grid.col_front(j);
+                    for w in 0..=w_max {
+                        let all = (0..n).map(|c| (c, gains[c], grid.node_row(c)[j]));
+                        let pruned = front
+                            .nodes
+                            .iter()
+                            .zip(front.deltas)
+                            .map(|(&c, &d)| (c as usize, gains[c as usize], d));
+                        let want = fold(&prev, w, all);
+                        assert_eq!(
+                            fold(&prev, w, pruned),
+                            want,
+                            "case {case} refinement {refinement} column {j} w {w}"
+                        );
+                        cells += 1;
+                        node_wins += usize::from(want.1 > 0);
+                    }
+                }
+            }
+        }
+        assert!(
+            cells > 10_000 && node_wins > cells / 4,
+            "{cells} cells, {node_wins} node wins"
+        );
     }
 }

@@ -71,6 +71,15 @@ pub(crate) struct Candidate {
     pub energy: f64,
 }
 
+/// The Eq. (10) terms of one candidate, before it owns a schedule.
+#[derive(Debug, Clone, Copy)]
+struct Surplus {
+    b_il: f64,
+    f_value: f64,
+    max_lambda: f64,
+    max_phi: f64,
+}
+
 /// What one arrival's evaluation produced.
 pub(crate) struct EvalOutcome {
     /// The surplus-maximizing candidate, if any vendor was worth a DP.
@@ -232,23 +241,38 @@ impl Pdftsp {
         }
     }
 
-    /// Packages a vendor's DP result into a [`Candidate`] — the exact
-    /// `F(il)` of Eq. (10). Shared by both pipelines so their admission
-    /// arithmetic is the same code.
-    fn candidate_from(&self, task: &Task, quote: VendorQuote, dp: DpResult) -> Candidate {
-        let schedule = Schedule::new(task.id, quote, dp.placements);
+    /// The Eq. (10) terms of one vendor's DP result, read by reference so
+    /// the vendor loop can rank vendors without taking their placements.
+    /// Shared by both pipelines (through [`Pdftsp::candidate_from`]) so
+    /// their admission arithmetic is the same code.
+    fn surplus(&self, task: &Task, quote: VendorQuote, dp: &DpResult) -> Surplus {
         let b_il = task.bid - quote.price - dp.energy;
-        let max_lambda = self.duals.max_lambda(&schedule.placements);
-        let max_phi = self.duals.max_phi(&schedule.placements);
-        let compute_units = schedule.total_compute(task) as f64 / self.config.compute_unit;
-        let memory = schedule.total_memory(task);
+        let max_lambda = self.duals.max_lambda(&dp.placements);
+        let max_phi = self.duals.max_phi(&dp.placements);
+        // `Schedule::total_compute` and `Schedule::total_memory` of the
+        // placements (order-free: a sum of integers and a count).
+        let work: u64 = dp.placements.iter().map(|&(k, _)| task.rate(k)).sum();
+        let compute_units = work as f64 / self.config.compute_unit;
+        let memory = task.memory_gb * dp.placements.len() as f64;
         let f_value = b_il - max_lambda * compute_units - max_phi * memory;
-        Candidate {
-            schedule,
+        Surplus {
             b_il,
             f_value,
             max_lambda,
             max_phi,
+        }
+    }
+
+    /// Packages a vendor's DP result into a [`Candidate`] — the exact
+    /// `F(il)` of Eq. (10).
+    fn candidate_from(&self, task: &Task, quote: VendorQuote, dp: DpResult) -> Candidate {
+        let s = self.surplus(task, quote, &dp);
+        Candidate {
+            schedule: Schedule::new(task.id, quote, dp.placements),
+            b_il: s.b_il,
+            f_value: s.f_value,
+            max_lambda: s.max_lambda,
+            max_phi: s.max_phi,
             energy: dp.energy,
         }
     }
@@ -300,7 +324,7 @@ impl Pdftsp {
         // upper bound `F(il) ≤ b_i − q_in − lower_bound(dp_cost)`.
         let counters = &self.telemetry.counters;
         counters.bump(&counters.vendors_seen, quotes.len() as u64);
-        let mut plans: Vec<(VendorQuote, Slot, f64)> = Vec::with_capacity(quotes.len());
+        scratch.plans.clear();
         let mut pruned = false;
         for &quote in quotes {
             let start = task.arrival + quote.delay;
@@ -322,11 +346,11 @@ impl Pdftsp {
                 });
                 continue;
             }
-            plans.push((quote, start, upper));
+            scratch.plans.push((quote, start, upper));
         }
 
         let mut best: Option<Candidate> = None;
-        if let [(quote, start, _)] = plans[..] {
+        if let [(quote, start, _)] = scratch.plans[..] {
             // Single survivor: no ordering or memo bookkeeping to pay for.
             if let Some(dp) =
                 find_schedule_on_grid(ctx, task, start, &scratch.grid, &mut scratch.bufs)
@@ -341,14 +365,19 @@ impl Pdftsp {
             // changes must not change the winner: the skip fires on a tie
             // only against a *later* quote, and the replacement test
             // prefers the earlier quote on exactly-equal `F(il)`.
-            let mut order: Vec<usize> = (0..plans.len()).collect();
-            order.sort_unstable_by(|&a, &b| plans[b].2.total_cmp(&plans[a].2).then(a.cmp(&b)));
-            let mut memo: Vec<(Slot, Option<DpResult>)> = Vec::with_capacity(plans.len());
-            let mut best_at: usize = usize::MAX;
-            for &pi in &order {
+            let plans = &scratch.plans;
+            scratch.order.clear();
+            scratch.order.extend(0..plans.len());
+            scratch
+                .order
+                .sort_unstable_by(|&a, &b| plans[b].2.total_cmp(&plans[a].2).then(a.cmp(&b)));
+            scratch.memo.clear();
+            // The incumbent: plan index, quote, memo index, F(il).
+            let mut incumbent: Option<(usize, VendorQuote, usize, f64)> = None;
+            for &pi in &scratch.order {
                 let (quote, start, upper) = plans[pi];
-                if let Some(b) = &best {
-                    if upper < b.f_value || (upper == b.f_value && pi > best_at) {
+                if let Some((best_at, _, _, f_best)) = incumbent {
+                    if upper < f_best || (upper == f_best && pi > best_at) {
                         // Provably cannot displace the incumbent — a
                         // bound-based discharge, counted with the prunes
                         // (no event: F(il) ≤ 0 was not proven).
@@ -357,11 +386,12 @@ impl Pdftsp {
                     }
                 }
                 // Vendors with equal delay share one DP (same start, same
-                // grid slice ⇒ bit-identical result).
-                let dp = match memo.iter().find(|&&(s, _)| s == start) {
-                    Some((_, cached)) => {
+                // grid slice ⇒ bit-identical result), found by its index
+                // in the memo rather than cloned out of it.
+                let ri = match scratch.memo.iter().position(|&(s, _)| s == start) {
+                    Some(ri) => {
                         counters.bump(&counters.vendors_memoized, 1);
-                        cached.clone()
+                        ri
                     }
                     None => {
                         let r = find_schedule_on_grid(
@@ -371,22 +401,30 @@ impl Pdftsp {
                             &scratch.grid,
                             &mut scratch.bufs,
                         );
-                        memo.push((start, r.clone()));
-                        r
+                        scratch.memo.push((start, r));
+                        scratch.memo.len() - 1
                     }
                 };
-                let Some(dp) = dp else { continue };
-                let cand = self.candidate_from(task, quote, dp);
-                let wins = match &best {
+                let Some(dp) = &scratch.memo[ri].1 else {
+                    continue;
+                };
+                let f_value = self.surplus(task, quote, dp).f_value;
+                let wins = match incumbent {
                     None => true,
-                    Some(b) => {
-                        cand.f_value > b.f_value || (cand.f_value == b.f_value && pi < best_at)
+                    Some((best_at, _, _, f_best)) => {
+                        f_value > f_best || (f_value == f_best && pi < best_at)
                     }
                 };
                 if wins {
-                    best = Some(cand);
-                    best_at = pi;
+                    incumbent = Some((pi, quote, ri, f_value));
                 }
+            }
+            if let Some((_, quote, ri, _)) = incumbent {
+                let dp = scratch.memo[ri]
+                    .1
+                    .take()
+                    .expect("the winner's DP was feasible");
+                best = Some(self.candidate_from(task, quote, dp));
             }
         }
         EvalOutcome { best, pruned }

@@ -22,8 +22,8 @@
 //! instance replays deterministically.
 
 use pdftsp_core::{Pdftsp, PdftspConfig};
-use pdftsp_types::{AuctionOutcome, Scenario};
-use pdftsp_workload::{ArrivalProcess, ScenarioBuilder};
+use pdftsp_types::{AuctionOutcome, CostGrid, Scenario};
+use pdftsp_workload::{ArrivalProcess, NodeMix, ScenarioBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -173,6 +173,44 @@ fn sequential_vendor_loop_matches_reference() {
         }
         .build();
         assert_lockstep(&sc, PdftspConfig::default(), &format!("vendor case {case}"));
+    }
+}
+
+/// ~20 tie-heavy instances: one GPU model (every node runs a task at the
+/// same rate) and a flat price grid, so until the duals spread the
+/// prices, a column holds many nodes with bit-equal deltas. Every choice
+/// tag then rests on the fronts' tie rules — the earliest of equal nodes
+/// is kept — under both capacity policies.
+#[test]
+fn tie_heavy_instances_match_reference() {
+    let mut rng = StdRng::seed_from_u64(0xE9_0005);
+    for case in 0..20u64 {
+        let mut sc = ScenarioBuilder {
+            horizon: rng.gen_range(12usize..24),
+            num_nodes: rng.gen_range(6usize..13),
+            node_mix: NodeMix::A100Only,
+            arrivals: ArrivalProcess::Poisson {
+                mean_per_slot: rng.gen_range(1.0f64..4.0),
+            },
+            num_vendors: rng.gen_range(2usize..6),
+            preprocessing_prob: 0.5,
+            seed: rng.gen_range(0u64..1_000_000),
+            ..ScenarioBuilder::smoke(0)
+        }
+        .build();
+        sc.cost = CostGrid::flat(sc.nodes.len(), sc.horizon, 0.25);
+        for task in &sc.tasks {
+            assert!(
+                task.rates.windows(2).all(|w| w[0] == w[1]),
+                "tie case {case}: rates differ across nodes"
+            );
+        }
+        assert_lockstep(&sc, PdftspConfig::default(), &format!("tie case {case}"));
+        assert_lockstep(
+            &sc,
+            PdftspConfig::default().strict(),
+            &format!("strict tie case {case}"),
+        );
     }
 }
 
