@@ -21,11 +21,9 @@
 //! deadline-miss rate for each system.
 //!
 //! A determinism block then drives the same spot scenario + lease-derived
-//! fault plan through the sharded [`AuctionService`] across the
-//! {1, 2, 4 workers} × {pipeline off, on} grid and asserts bit-identical
-//! welfare, ledger digests, decision fingerprints, and refund totals —
-//! revocations under sharding + pipelining must replay the
-//! single-thread schedule exactly.
+//! fault plan through the sharded [`AuctionService`] at {1, 2, 4}
+//! workers and asserts one bit-identical [`RunDigest`] — revocations
+//! under sharding must replay the single-thread schedule exactly.
 //!
 //! `--smoke` shrinks the scenario for CI, still runs the comparison and
 //! the full determinism sweep, and leaves the committed full-run
@@ -34,7 +32,7 @@
 use pdftsp_cluster::{configured_threads, hardware_threads, set_thread_override};
 use pdftsp_core::{PdftspConfig, PreheatSpec};
 use pdftsp_sim::{
-    lease_fault_plan, run_spot, AuctionService, ServiceConfig, ServiceOutcome, SpotMetrics,
+    lease_fault_plan, run_spot, AuctionService, RunDigest, ServiceConfig, SpotMetrics,
 };
 use pdftsp_types::Scenario;
 use pdftsp_workload::{ArrivalProcess, ScenarioBuilder, SpotSpec};
@@ -70,30 +68,6 @@ fn spot_spec(smoke: bool) -> SpotSpec {
 
 /// Scenario seeds for the comparison rows.
 const SEEDS: [u64; 3] = [8484, 8485, 8486];
-
-/// FNV-1a over the decision sequence plus welfare/refund bits.
-fn decision_fingerprint(out: &ServiceOutcome) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for d in &out.decisions {
-        mix(d.task as u64);
-        mix(u64::from(d.is_admitted()));
-        mix(d.payment().to_bits());
-    }
-    mix(out.welfare.social_welfare.to_bits());
-    mix(out.welfare.refunds.to_bits());
-    for a in &out.aborted {
-        mix(a.task as u64);
-        mix(a.refund.to_bits());
-        mix(a.consumed.to_bits());
-    }
-    h
-}
 
 fn metrics_json(m: &SpotMetrics) -> String {
     format!(
@@ -152,9 +126,8 @@ fn comparison_json(smoke: bool, seed: u64, spec: &SpotSpec) -> String {
 }
 
 /// Revocation determinism sweep: the spot-transformed scenario with its
-/// lease-derived fault plan through the sharded service across the
-/// {1, 2, 4 workers} × {pipeline off, on} grid — everything must be
-/// bit-identical.
+/// lease-derived fault plan through the sharded service at {1, 2, 4}
+/// workers — everything must be bit-identical.
 fn determinism_json(smoke: bool, spec: &SpotSpec) -> String {
     let base = scenario(smoke, SEEDS[0]);
     let sc = spec.apply(&base);
@@ -169,50 +142,35 @@ fn determinism_json(smoke: bool, spec: &SpotSpec) -> String {
         lookahead: spec.lookahead,
         gain: spec.gain,
     });
-    let mut baseline: Option<(u64, u64, u64, u64)> = None;
+    let cfg = ServiceConfig {
+        shards,
+        epoch_slots: 4,
+        scheduler,
+        ..ServiceConfig::default()
+    };
+    let mut baseline: Option<RunDigest> = None;
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4] {
-        for pipeline in [false, true] {
-            let cfg = ServiceConfig {
-                shards,
-                epoch_slots: 4,
-                scheduler,
-                pipeline,
-                ..ServiceConfig::default()
-            };
-            set_thread_override(Some(threads));
-            let out = AuctionService::run(&sc, cfg, &plan).expect("service run");
-            set_thread_override(None);
-            let key = (
-                out.welfare.social_welfare.to_bits(),
-                out.welfare.refunds.to_bits(),
-                out.ledger_digest,
-                decision_fingerprint(&out),
-            );
-            match baseline {
-                None => baseline = Some(key),
-                Some(expected) => assert_eq!(
-                    expected, key,
-                    "spot service diverged at {threads} workers, pipeline {pipeline} \
-                     (welfare bits / refund bits / ledger digest / decisions)"
-                ),
-            }
-            println!(
-                "determinism {threads} workers, pipeline {}: welfare {:.2}, refunds {:.2}, ledger digest {:016x} — identical",
-                if pipeline { "on " } else { "off" },
-                out.welfare.social_welfare,
-                out.welfare.refunds,
-                out.ledger_digest,
-            );
-            rows.push(format!(
-                concat!(
-                    "    {{\"workers\": {}, \"pipeline\": {}, \"effective_workers\": {}, ",
-                    "\"welfare_bits\": \"{:016x}\", \"refund_bits\": \"{:016x}\", ",
-                    "\"ledger_digest\": \"{:016x}\", \"decision_fingerprint\": \"{:016x}\"}}"
-                ),
-                threads, pipeline, out.effective_workers, key.0, key.1, key.2, key.3
-            ));
+        set_thread_override(Some(threads));
+        let out = AuctionService::run(&sc, cfg, &plan).expect("service run");
+        set_thread_override(None);
+        let digest = out.digest();
+        match baseline {
+            None => baseline = Some(digest),
+            Some(expected) => assert_eq!(
+                expected, digest,
+                "spot service diverged at {threads} workers \
+                 (welfare / payment / refund bits, ledger digest or decisions)"
+            ),
         }
+        println!(
+            "determinism {threads} workers: welfare {:.2}, refunds {:.2}, ledger digest {:016x} — identical",
+            out.welfare.social_welfare, out.welfare.refunds, out.ledger_digest,
+        );
+        rows.push(format!(
+            "    {{\"workers\": {threads}, \"effective_workers\": {}, {digest}}}",
+            out.effective_workers
+        ));
     }
     rows.join(",\n")
 }
@@ -283,7 +241,7 @@ fn main() {
     );
     if smoke {
         println!(
-            "smoke ok: comparison deterministic, revocation determinism held across 1/2/4 workers x pipeline on/off; artifact not rewritten"
+            "smoke ok: comparison deterministic, revocation determinism held across 1/2/4 workers; artifact not rewritten"
         );
         return;
     }

@@ -2,11 +2,12 @@
 //! (so the logic is unit-testable without capturing stdout).
 
 use crate::args::{Cli, Command, ScenarioArgs, USAGE};
+use pdftsp_cluster::parallel_map;
 use pdftsp_core::PreheatSpec;
 use pdftsp_core::{probe_bid, Pdftsp, PdftspConfig};
 use pdftsp_lora::{CalibrationTable, TransformerConfig};
 use pdftsp_sim::{
-    empirical_ratio_with_telemetry, lease_fault_plan, parallel_map, partition_zones, render_gantt,
+    empirical_ratio_with_telemetry, lease_fault_plan, partition_zones, render_gantt,
     render_timeline, run_algo, run_pdftsp_instrumented, run_pdftsp_with_faults, run_scheduler,
     run_spot, run_zoned, try_run_algo, write_dual_grid, Algo, AuctionService, FaultEvent,
     FaultPlan, FaultSpec, FigureTable, Observability, RunResult, ServiceConfig, ServiceOutcome,
@@ -345,7 +346,6 @@ fn serve_sim(scenario: &Scenario, cli: &Cli) -> String {
         epoch_slots: cli.service.epoch,
         scheduler: scheduler_cfg,
         open_loop_rate: cli.service.rate,
-        pipeline: cli.service.pipeline,
         ..ServiceConfig::default()
     };
     let obs = Observability {
@@ -399,7 +399,7 @@ fn serve_sim(scenario: &Scenario, cli: &Cli) -> String {
     let w = &out.welfare;
     let mut text = format!(
         "scenario: {} tasks / {} nodes / {} slots (offered load {:.2})\n\
-         service : {} shards, {} slots/epoch, {} epochs, {} workers{}\n\
+         service : {} shards, {} slots/epoch, {} epochs, {} workers\n\
          completed        : {}/{} (rejected {}, aborted {})\n\
          disrupted        : {} task-disruptions, {} recovered\n\
          social welfare   : {:.2}\n\
@@ -416,11 +416,6 @@ fn serve_sim(scenario: &Scenario, cli: &Cli) -> String {
         cfg.epoch_slots,
         out.epochs,
         out.effective_workers,
-        if cfg.pipeline {
-            format!(", pipelined ({} epochs overlapped)", out.epochs_overlapped)
-        } else {
-            String::new()
-        },
         w.completed,
         stats.tasks,
         w.rejected,
@@ -534,7 +529,7 @@ fn render_service_metrics(out: &ServiceOutcome) -> String {
             push_sample(&mut text, name, &format!("shard=\"{}\"", s.shard), value(s));
         }
     }
-    let totals: [(&str, &str, &str, f64); 8] = [
+    let totals: [(&str, &str, &str, f64); 7] = [
         (
             "pdftsp_service_epochs_total",
             "epochs committed",
@@ -564,12 +559,6 @@ fn render_service_metrics(out: &ServiceOutcome) -> String {
             "lifecycle spans captured this run",
             "gauge",
             out.spans.len() as f64,
-        ),
-        (
-            "pdftsp_service_epochs_overlapped_total",
-            "epochs that consumed a pre-spawned pipelined proposal",
-            "counter",
-            out.epochs_overlapped as f64,
         ),
         (
             "pdftsp_pool_tasks_total",
@@ -708,7 +697,10 @@ fn simulate_with_faults(scenario: &Scenario, algo: Algo, spec_text: &str, cli: &
         None => Telemetry::disabled(),
     };
     let plan = FaultPlan::generate(scenario, &spec);
-    let (r, scheduler) = run_pdftsp_with_faults(scenario, config, &plan, telemetry);
+    let (r, scheduler) = match run_pdftsp_with_faults(scenario, config, &plan, telemetry) {
+        Ok(run) => run,
+        Err(e) => return format!("error: {e}\n"),
+    };
     if let Some(p) = &cli.telemetry {
         if let Err(e) = scheduler.telemetry().sink().flush() {
             return format!("error: --telemetry {p}: {e}\n");
@@ -1183,15 +1175,6 @@ mod tests {
         assert!(out.contains("service : 3 shards"), "{out}");
         assert!(out.contains("ledger digest"), "{out}");
         assert_eq!(out, run_words(words));
-        // Pipelining changes only the service header, never decisions.
-        let piped = run_words(&format!("{words} --pipeline"));
-        let strip = |text: &str| -> String {
-            text.lines()
-                .filter(|l| !l.starts_with("service :"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&out), strip(&piped));
     }
 
     #[test]
@@ -1222,22 +1205,34 @@ mod tests {
         assert_eq!(out, run_words(words));
     }
 
+    /// One shard drives the same fault loop as `run --faults`, so the
+    /// two commands settle to the same economics line for line.
     #[test]
-    fn serve_sim_pipeline_flag_changes_no_decision_output() {
-        let base = "serve-sim --nodes 6 --slots 24 --mean 3 --seed 11 --shards 3 --epoch 5 \
-                    --faults crashes=2,outage=4,seed=7";
-        let serial = run_words(base);
-        let piped = run_words(&format!("{base} --pipeline"));
-        assert!(piped.contains(", pipelined ("), "{piped}");
-        // Everything except the service header line (which carries the
-        // pipelined marker) is byte-identical: same digest, same rows.
-        let strip = |text: &str| -> String {
+    fn one_shard_serve_sim_settles_like_run_with_faults() {
+        let args = "--nodes 6 --slots 24 --mean 3 --seed 11 --faults crashes=6,outage=8,seed=3";
+        let run = run_words(&format!("run {args}"));
+        let served = run_words(&format!("serve-sim --shards 1 {args}"));
+        let economics = |text: &str| -> Vec<String> {
             text.lines()
-                .filter(|l| !l.starts_with("service :"))
-                .collect::<Vec<_>>()
-                .join("\n")
+                .filter(|l| {
+                    [
+                        "completed",
+                        "social welfare",
+                        "gross payments",
+                        "refunds issued",
+                    ]
+                    .iter()
+                    .any(|k| l.starts_with(k))
+                })
+                .map(str::to_owned)
+                .collect()
         };
-        assert_eq!(strip(&serial), strip(&piped));
+        assert_eq!(economics(&run).len(), 4, "{run}");
+        assert_eq!(economics(&run), economics(&served), "{run}\n{served}");
+        assert!(
+            !run.contains("aborted 0)"),
+            "the case must abort someone: {run}"
+        );
     }
 
     #[test]
@@ -1265,10 +1260,6 @@ mod tests {
         );
         assert!(prom.contains("pdftsp_service_epochs_total 5"), "{prom}");
         assert!(prom.contains("pdftsp_pool_tasks_total"), "{prom}");
-        assert!(
-            prom.contains("pdftsp_service_epochs_overlapped_total"),
-            "{prom}"
-        );
         assert!(prom.contains("pdftsp_pool_park_seconds_total"), "{prom}");
         let chrome_json = std::fs::read_to_string(&trace).unwrap();
         assert!(

@@ -36,6 +36,6 @@ pub use ledger::{CapacityLedger, LedgerError, Released};
 pub use metrics::ClusterMetrics;
 pub use parallel::{
     configured_threads, effective_workers, hardware_threads, parallel_map, pool_stats,
-    set_thread_override, spawn, thread_override, try_parallel_map, JobHandle, PoolPanic, PoolStats,
+    set_thread_override, thread_override, try_parallel_map, PoolPanic, PoolStats,
 };
 pub use shard::{apportion, ShardError, ShardMap, ShardSpec};

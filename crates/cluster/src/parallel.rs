@@ -123,13 +123,10 @@ pub struct PoolStats {
     /// Long-lived pool threads currently alive (grows on demand, never
     /// shrinks; the submitting thread is not counted).
     pub workers: usize,
-    /// Work items executed across all batches and spawned jobs since
-    /// process start.
+    /// Work items executed across all batches since process start.
     pub tasks: u64,
     /// Batches dispatched since process start.
     pub batches: u64,
-    /// Single jobs dispatched via [`spawn`] since process start.
-    pub jobs: u64,
     /// Cumulative nanoseconds pool threads spent parked waiting for
     /// work (idle time, not contention).
     pub park_ns: u64,
@@ -208,84 +205,15 @@ impl Batch {
     }
 }
 
-/// One fire-and-forget job submitted via [`spawn`]: the closure is
-/// claimed (taken) exactly once — by a pool worker or by the waiting
-/// [`JobHandle`] (caller-runs) — and the outcome is published under
-/// `done` for the handle to collect.
-struct Job {
-    f: Mutex<Option<Box<dyn FnOnce() + Send>>>,
-    done: Mutex<Option<Result<(), PoolPanic>>>,
-    done_cv: Condvar,
-}
-
-impl Job {
-    /// Claims and runs the closure if nobody has yet; a panic is caught
-    /// at the job boundary and published as the job's outcome.
-    fn run(&self) {
-        let Some(f) = lock(&self.f).take() else {
-            return;
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(f)).map_err(|payload| PoolPanic {
-            index: 0,
-            message: panic_message(payload.as_ref()),
-        });
-        *lock(&self.done) = Some(outcome);
-        self.done_cv.notify_all();
-    }
-}
-
-/// Handle to a job submitted with [`spawn`]. Dropping the handle
-/// without waiting is safe: the job keeps running on the pool and its
-/// captures are freed when it finishes (the closure is `'static`).
-pub struct JobHandle {
-    job: Arc<Job>,
-}
-
-impl JobHandle {
-    /// Whether the job has finished executing (without blocking).
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        lock(&self.job.done).is_some()
-    }
-
-    /// Blocks until the job has run, executing it inline if no pool
-    /// worker claimed it yet (caller-runs, so a starved pool can never
-    /// deadlock the waiter). A contained panic surfaces as the error.
-    ///
-    /// # Errors
-    /// [`PoolPanic`] when the job's closure panicked.
-    pub fn wait(self) -> Result<(), PoolPanic> {
-        self.job.run();
-        let mut done = lock(&self.job.done);
-        loop {
-            if let Some(outcome) = done.take() {
-                return outcome;
-            }
-            done = self
-                .job
-                .done_cv
-                .wait(done)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// A unit of queued pool work: a shared batch token or a single job.
-enum Work {
-    Batch(Arc<Batch>),
-    Job(Arc<Job>),
-}
-
-/// The process-global pool: a queue of work tokens, a wake signal, and
+/// The process-global pool: a queue of batch tokens, a wake signal, and
 /// lifetime counters. Threads are spawned lazily up to the demand of
 /// the largest batch seen so far and then parked between batches.
 struct Pool {
-    queue: Mutex<VecDeque<Work>>,
+    queue: Mutex<VecDeque<Arc<Batch>>>,
     work_cv: Condvar,
     workers: AtomicUsize,
     tasks: AtomicU64,
     batches: AtomicU64,
-    jobs: AtomicU64,
     park_ns: AtomicU64,
 }
 
@@ -297,7 +225,6 @@ fn pool() -> &'static Pool {
         workers: AtomicUsize::new(0),
         tasks: AtomicU64::new(0),
         batches: AtomicU64::new(0),
-        jobs: AtomicU64::new(0),
         park_ns: AtomicU64::new(0),
     })
 }
@@ -310,18 +237,17 @@ pub fn pool_stats() -> PoolStats {
         workers: p.workers.load(Ordering::Relaxed),
         tasks: p.tasks.load(Ordering::Relaxed),
         batches: p.batches.load(Ordering::Relaxed),
-        jobs: p.jobs.load(Ordering::Relaxed),
         park_ns: p.park_ns.load(Ordering::Relaxed),
     }
 }
 
 fn worker_loop(pool: &'static Pool) {
     loop {
-        let work = {
+        let batch = {
             let mut q = lock(&pool.queue);
             loop {
-                if let Some(w) = q.pop_front() {
-                    break w;
+                if let Some(b) = q.pop_front() {
+                    break b;
                 }
                 let parked = Instant::now();
                 q = pool.work_cv.wait(q).unwrap_or_else(PoisonError::into_inner);
@@ -329,39 +255,10 @@ fn worker_loop(pool: &'static Pool) {
                 pool.park_ns.fetch_add(ns, Ordering::Relaxed);
             }
         };
-        match work {
-            Work::Batch(batch) => batch.work(),
-            // Stale tokens for finished batches fall out of `work()`
-            // immediately (`next >= len`); a job already claimed by its
-            // waiting handle falls out of `run()` the same way.
-            Work::Job(job) => job.run(),
-        }
+        // Stale tokens for finished batches fall out of `work()`
+        // immediately (`next >= len`).
+        batch.work();
     }
-}
-
-/// Submits one closure to the persistent pool and returns immediately.
-/// The job runs on a pool thread (the pool is grown toward
-/// [`configured_threads`] if needed); [`JobHandle::wait`] runs it
-/// inline if no worker got to it first. A panicking job is contained at
-/// the job boundary — the pool thread survives and the panic surfaces
-/// from `wait`.
-///
-/// This is the building block the pipelined auction service uses to
-/// overlap next-epoch shard proposals with the current epoch's commit;
-/// batch-shaped work should keep using [`parallel_map`].
-pub fn spawn(f: impl FnOnce() + Send + 'static) -> JobHandle {
-    let pool = pool();
-    pool.tasks.fetch_add(1, Ordering::Relaxed);
-    pool.jobs.fetch_add(1, Ordering::Relaxed);
-    let job = Arc::new(Job {
-        f: Mutex::new(Some(Box::new(f))),
-        done: Mutex::new(None),
-        done_cv: Condvar::new(),
-    });
-    ensure_workers(pool, configured_threads());
-    lock(&pool.queue).push_back(Work::Job(Arc::clone(&job)));
-    pool.work_cv.notify_one();
-    JobHandle { job }
 }
 
 /// Grows the pool to at least `want` long-lived threads. Spawn failure
@@ -411,7 +308,7 @@ fn run_batch(run: &(dyn Fn(usize) + Sync), len: usize, helpers: usize) {
         ensure_workers(pool, helpers);
         let mut q = lock(&pool.queue);
         for _ in 0..helpers {
-            q.push_back(Work::Batch(Arc::clone(&batch)));
+            q.push_back(Arc::clone(&batch));
         }
         drop(q);
         pool.work_cv.notify_all();
@@ -645,55 +542,6 @@ mod tests {
         );
         set_thread_override(None);
         assert_eq!(configured_threads(), before);
-    }
-
-    /// Spawned jobs: results arrive through the captured slot, a
-    /// panicking job is contained (pool thread survives, error surfaces
-    /// from `wait`), a dropped handle leaks nothing, and caller-runs
-    /// guarantees completion even if every pool thread is busy.
-    #[test]
-    fn spawned_jobs_complete_contain_panics_and_survive_drops() {
-        use std::sync::Mutex;
-        let before = pool_stats();
-        // Plain completion through a shared slot.
-        let out = Arc::new(Mutex::new(None));
-        let out2 = Arc::clone(&out);
-        let h = spawn(move || *out2.lock().unwrap() = Some(40 + 2));
-        h.wait().expect("job ran");
-        assert_eq!(*out.lock().unwrap(), Some(42));
-        // Panic containment: the error carries the message, and the
-        // pool keeps serving later jobs and batches.
-        let err = spawn(|| panic!("job boom")).wait().unwrap_err();
-        assert!(err.message.contains("job boom"), "{err}");
-        let ok = Arc::new(AtomicUsize::new(0));
-        let ok2 = Arc::clone(&ok);
-        spawn(move || {
-            ok2.fetch_add(7, Ordering::SeqCst);
-        })
-        .wait()
-        .expect("pool recovered after job panic");
-        assert_eq!(ok.load(Ordering::SeqCst), 7);
-        let items: Vec<u64> = (0..16).collect();
-        assert_eq!(
-            parallel_map(&items, |&x| x + 1),
-            (1..=16).collect::<Vec<_>>()
-        );
-        // Dropped handle: the job still runs to completion on the pool
-        // (its captures keep everything alive); wait for the side
-        // effect rather than the handle.
-        let seen = Arc::new(AtomicUsize::new(0));
-        let seen2 = Arc::clone(&seen);
-        drop(spawn(move || {
-            seen2.fetch_add(1, Ordering::SeqCst);
-        }));
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while seen.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(seen.load(Ordering::SeqCst), 1, "dropped job still ran");
-        let after = pool_stats();
-        assert!(after.jobs >= before.jobs + 4, "jobs were accounted");
-        assert!(after.tasks >= before.tasks + 4, "jobs count as pool tasks");
     }
 
     #[test]

@@ -25,8 +25,8 @@
 
 use crate::driver::run_scheduler;
 use crate::faults::{run_pdftsp_with_faults, FaultEvent, FaultPlan};
-use crate::parallel::{effective_workers, parallel_map};
 use pdftsp_baselines::DeadlineAware;
+use pdftsp_cluster::{effective_workers, parallel_map};
 use pdftsp_core::{PdftspConfig, PreheatSpec};
 use pdftsp_telemetry::Telemetry;
 use pdftsp_types::{AuctionOutcome, Rejection, Scenario, Schedule};
@@ -115,7 +115,8 @@ pub fn run_spot(base: &Scenario, spec: &SpotSpec, config: PdftspConfig) -> SpotC
         lookahead: spec.lookahead,
         gain: spec.gain,
     });
-    let (run, _) = run_pdftsp_with_faults(&scenario, cfg, &plan, Telemetry::disabled());
+    let (run, _) = run_pdftsp_with_faults(&scenario, cfg, &plan, Telemetry::disabled())
+        .expect("a lease plan drawn over the scenario's own nodes and horizon is valid");
     let denom = run.welfare.completed + run.welfare.aborted;
     let budget_rejections = run
         .decisions

@@ -58,7 +58,8 @@ fn run_case(workload_seed: u64, spec: &FaultSpec) -> (Scenario, FaultPlan, Fault
         PdftspConfig::default(),
         &plan,
         Telemetry::disabled(),
-    );
+    )
+    .expect("generated plans are valid");
     (scenario, plan, result)
 }
 

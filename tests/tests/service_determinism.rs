@@ -6,8 +6,8 @@
 use pdftsp_cluster::set_thread_override;
 use pdftsp_core::{PdftspConfig, PreheatSpec};
 use pdftsp_sim::{
-    lease_fault_plan, replay, AuctionService, FaultPlan, FaultSpec, Observability, ServiceConfig,
-    ServiceOutcome,
+    lease_fault_plan, replay, AuctionService, FaultPlan, FaultSpec, Observability, RunDigest,
+    ServiceConfig, ServiceOutcome,
 };
 use pdftsp_telemetry::{chrome, Stage};
 use pdftsp_types::Scenario;
@@ -54,78 +54,28 @@ fn service_cfg() -> ServiceConfig {
     }
 }
 
-/// Everything decision-derived in the outcome, bit-exact, excluding the
-/// wall-clock fields (latency histograms, `wall_seconds`).
-fn fingerprint(out: &ServiceOutcome) -> Vec<u64> {
-    let w = &out.welfare;
-    let mut fp = vec![
-        w.social_welfare.to_bits(),
-        w.payments.to_bits(),
-        w.refunds.to_bits(),
-        w.vendor_cost.to_bits(),
-        w.energy_cost.to_bits(),
-        w.provider_utility.to_bits(),
-        w.user_utility.to_bits(),
-        w.completed as u64,
-        w.aborted as u64,
-        w.rejected as u64,
-        out.disrupted as u64,
-        out.recovered as u64,
-        out.ledger_digest,
-        out.epochs as u64,
-    ];
-    for s in &out.per_shard {
-        fp.push(s.ledger_digest);
-        fp.push(s.routed as u64);
-        fp.push(s.admitted);
-        fp.push(s.rejected);
-        fp.push(s.tasks_resubmitted);
-    }
-    for d in &out.decisions {
-        fp.push(d.task as u64);
-        fp.push(u64::from(d.is_admitted()));
-        fp.push(d.payment().to_bits());
-    }
-    for a in &out.aborted {
-        fp.push(a.task as u64);
-        fp.push(a.refund.to_bits());
-        fp.push(a.consumed.to_bits());
-    }
-    fp
-}
-
-/// The headline contract: {1, 2, 4} phase-1 workers × {pipeline off,
-/// on} all replay the single-thread serial schedule bit-for-bit, with
-/// faults enabled. Worker override is process-global, so the whole
-/// sweep lives in one test.
+/// The headline contract: {1, 2, 4} phase-1 workers all replay the
+/// single-thread schedule bit-for-bit, with faults enabled. Worker
+/// override is process-global, so the whole sweep lives in one test.
 #[test]
-fn worker_count_and_pipelining_never_change_the_schedule() {
+fn worker_count_never_changes_the_schedule() {
     for wseed in [11u64, 23, 57] {
         let (scenario, plan) = faulted_case(wseed);
-        let mut baseline: Option<Vec<u64>> = None;
+        let mut baseline: Option<RunDigest> = None;
         let mut disrupted = 0;
         for workers in [1usize, 2, 4] {
-            for pipeline in [false, true] {
-                let cfg = ServiceConfig {
-                    pipeline,
-                    ..service_cfg()
-                };
-                set_thread_override(Some(workers));
-                let out = AuctionService::run(&scenario, cfg, &plan);
-                set_thread_override(None);
-                let out = out.unwrap_or_else(|e| {
-                    panic!("seed {wseed}/{workers} workers/pipeline {pipeline}: {e}")
-                });
-                disrupted = out.disrupted;
-                let fp = fingerprint(&out);
-                match &baseline {
-                    None => baseline = Some(fp),
-                    Some(expected) => assert_eq!(
-                        expected, &fp,
-                        "seed {wseed}: outcome diverged at {workers} workers, \
-                         pipeline {pipeline}"
-                    ),
-                }
+            set_thread_override(Some(workers));
+            let out = AuctionService::run(&scenario, service_cfg(), &plan);
+            set_thread_override(None);
+            let out = out.unwrap_or_else(|e| panic!("seed {wseed}/{workers} workers: {e}"));
+            disrupted = out.disrupted;
+            let digest = out.digest();
+            match &baseline {
+                None => baseline = Some(digest),
+                Some(expected) => assert_eq!(
+                    expected, &digest,
+                    "seed {wseed}: outcome diverged at {workers} workers"
+                ),
             }
         }
         // The sweep must actually exercise the fault path, not pass
@@ -136,11 +86,11 @@ fn worker_count_and_pipelining_never_change_the_schedule() {
 
 /// The same contract for the spot-market family: revocation-heavy runs
 /// (lease storms through the crash path, spot-priced grids, budget caps,
-/// pre-heated duals) are byte-identical across {1, 2, 4 workers} ×
-/// {pipeline off, on}, and the run must abort someone so the Eq. (14)
-/// refund path is inside the fingerprint.
+/// pre-heated duals) are byte-identical across {1, 2, 4} workers, and
+/// the run must abort someone so the Eq. (14) refund path is inside the
+/// digest.
 #[test]
-fn spot_revocations_replay_identically_across_workers_and_pipelining() {
+fn spot_revocations_replay_identically_across_workers() {
     let mut any_aborted = false;
     for wseed in [11u64, 23, 57] {
         let (scenario, plan, scheduler) = spot_case(wseed);
@@ -148,32 +98,26 @@ fn spot_revocations_replay_identically_across_workers_and_pipelining() {
             !plan.events.is_empty(),
             "seed {wseed}: lease storm drew no revocations"
         );
-        let mut baseline: Option<Vec<u64>> = None;
+        let cfg = ServiceConfig {
+            scheduler,
+            ..service_cfg()
+        };
+        let mut baseline: Option<RunDigest> = None;
         let mut disrupted = 0;
         for workers in [1usize, 2, 4] {
-            for pipeline in [false, true] {
-                let cfg = ServiceConfig {
-                    pipeline,
-                    scheduler,
-                    ..service_cfg()
-                };
-                set_thread_override(Some(workers));
-                let out = AuctionService::run(&scenario, cfg, &plan);
-                set_thread_override(None);
-                let out = out.unwrap_or_else(|e| {
-                    panic!("seed {wseed}/{workers} workers/pipeline {pipeline}: {e}")
-                });
-                disrupted = out.disrupted;
-                any_aborted |= !out.aborted.is_empty();
-                let fp = fingerprint(&out);
-                match &baseline {
-                    None => baseline = Some(fp),
-                    Some(expected) => assert_eq!(
-                        expected, &fp,
-                        "seed {wseed}: spot outcome diverged at {workers} workers, \
-                         pipeline {pipeline}"
-                    ),
-                }
+            set_thread_override(Some(workers));
+            let out = AuctionService::run(&scenario, cfg, &plan);
+            set_thread_override(None);
+            let out = out.unwrap_or_else(|e| panic!("seed {wseed}/{workers} workers: {e}"));
+            disrupted = out.disrupted;
+            any_aborted |= !out.aborted.is_empty();
+            let digest = out.digest();
+            match &baseline {
+                None => baseline = Some(digest),
+                Some(expected) => assert_eq!(
+                    expected, &digest,
+                    "seed {wseed}: spot outcome diverged at {workers} workers"
+                ),
             }
         }
         assert!(
@@ -222,8 +166,8 @@ fn kill_and_resume_mid_run_rejoins_the_trajectory() {
     let resumed = second.finish().expect("finish");
 
     assert_eq!(
-        fingerprint(&uninterrupted),
-        fingerprint(&resumed),
+        uninterrupted.digest(),
+        resumed.digest(),
         "kill-and-resume outcome differs from the uninterrupted run"
     );
 
@@ -232,88 +176,33 @@ fn kill_and_resume_mid_run_rejoins_the_trajectory() {
     replay(&scenario, &resumed.decisions).expect("resumed decisions replay cleanly");
 }
 
-/// Kill-and-resume **mid-pipeline**: with pipelining on, dropping the
-/// service right after an epoch commit abandons in-flight pre-spawned
-/// epoch-(e+1) proposals on the worker pool. A rebuilt service must
-/// still re-join the exact trajectory — and the whole run must match a
-/// serial (non-pipelined) uninterrupted run bit-for-bit.
-#[test]
-fn kill_and_resume_mid_pipeline_rejoins_the_trajectory() {
-    let (scenario, plan) = faulted_case(23);
-    let serial_cfg = service_cfg();
-    let piped_cfg = ServiceConfig {
-        pipeline: true,
-        ..serial_cfg
-    };
-
-    let serial = AuctionService::run(&scenario, serial_cfg, &plan).expect("serial run");
-    assert!(serial.epochs >= 2, "need ≥ 2 epochs to cut between");
-    let cut = serial.epochs / 2;
-
-    // First incarnation: pipelined, killed (dropped) after `cut` epochs
-    // while its pre-spawned epoch-(cut) proposals are still in flight.
-    let mut first = AuctionService::new(&scenario, piped_cfg, &plan).expect("service");
-    for _ in 0..cut {
-        first.run_epoch().expect("epoch");
-    }
-    let digest_at_cut = first.global_digest();
-    drop(first);
-
-    // Second incarnation: pipelined again, replayed to the cut, then
-    // run to completion.
-    let mut second = AuctionService::new(&scenario, piped_cfg, &plan).expect("service");
-    for _ in 0..cut {
-        second.run_epoch().expect("epoch");
-    }
-    assert_eq!(
-        second.global_digest(),
-        digest_at_cut,
-        "rebuilt pipelined service diverged before the cut"
-    );
-    let resumed = second.finish().expect("finish");
-
-    assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&resumed),
-        "pipelined kill-and-resume differs from the serial uninterrupted run"
-    );
-    replay(&scenario, &resumed.decisions).expect("resumed decisions replay cleanly");
-}
-
 /// Span determinism and causal coverage: the rendered Chrome trace is
-/// byte-identical across 1/2/4 phase-1 workers — and across pipeline
-/// on/off (span timestamps come from the sim clock, never the wall
-/// clock) — and every admitted task carries the full
-/// `route -> propose -> commit` parent chain.
+/// byte-identical across 1/2/4 phase-1 workers (span timestamps come
+/// from the sim clock, never the wall clock), and every admitted task
+/// carries the full `route -> propose -> commit` parent chain.
 #[test]
 fn span_trace_is_byte_identical_across_workers_and_covers_admissions() {
     let (scenario, plan) = faulted_case(23);
     let mut baseline: Option<(String, ServiceOutcome)> = None;
     for workers in [1usize, 2, 4] {
-        for pipeline in [false, true] {
-            let cfg = ServiceConfig {
-                pipeline,
-                ..service_cfg()
-            };
-            set_thread_override(Some(workers));
-            let out = AuctionService::with_observability(
-                &scenario,
-                cfg,
-                &plan,
-                Observability::with_spans(),
-            )
-            .and_then(AuctionService::finish);
-            set_thread_override(None);
-            let out = out.unwrap_or_else(|e| panic!("{workers} workers/pipeline {pipeline}: {e}"));
-            assert!(!out.spans.is_empty(), "spans enabled but none recorded");
-            let trace = chrome::render_trace(&out.spans);
-            match &baseline {
-                None => baseline = Some((trace, out)),
-                Some((expected, _)) => assert_eq!(
-                    expected, &trace,
-                    "chrome trace diverged at {workers} workers, pipeline {pipeline}"
-                ),
-            }
+        set_thread_override(Some(workers));
+        let out = AuctionService::with_observability(
+            &scenario,
+            service_cfg(),
+            &plan,
+            Observability::with_spans(),
+        )
+        .and_then(AuctionService::finish);
+        set_thread_override(None);
+        let out = out.unwrap_or_else(|e| panic!("{workers} workers: {e}"));
+        assert!(!out.spans.is_empty(), "spans enabled but none recorded");
+        let trace = chrome::render_trace(&out.spans);
+        match &baseline {
+            None => baseline = Some((trace, out)),
+            Some((expected, _)) => assert_eq!(
+                expected, &trace,
+                "chrome trace diverged at {workers} workers"
+            ),
         }
     }
 

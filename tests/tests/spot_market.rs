@@ -35,7 +35,8 @@ fn storm_case(workload_seed: u64, spot_seed: u64) -> (Scenario, FaultPlan, Fault
         lookahead: spec.lookahead,
         gain: spec.gain,
     });
-    let (result, pdftsp) = run_pdftsp_with_faults(&scenario, cfg, &plan, Telemetry::disabled());
+    let (result, pdftsp) = run_pdftsp_with_faults(&scenario, cfg, &plan, Telemetry::disabled())
+        .expect("lease plans are valid");
 
     // Eq. (14) settlement property, checked against the *auction log*
     // rather than the settlement's own arithmetic: the refund plus the
