@@ -10,12 +10,11 @@
 //!   below baseline, span-path overhead (`overhead_frac`) growing
 //!   beyond `baseline × 1.25 + 0.02`, and pool dispatch overhead
 //!   (`pool_ns_per_task`) growing beyond `baseline × 1.25 + 300 ns`;
-//! * **warn** — absolute throughput (`sustained_decisions_per_s`,
-//!   `pipelined_decisions_per_s`, `pipeline_speedup`) and determinism
-//!   digests (`welfare_bits` / `ledger_digest` /
-//!   `decision_fingerprint`), which are host- and thread-count-shaped
-//!   (a single-core runner cannot show any pipeline speedup at all).
-//!   Setting `PDFTSP_BENCH_STRICT=1` promotes warnings to failures.
+//! * **warn** — absolute throughput (`sustained_decisions_per_s`) and
+//!   determinism digests (`welfare_bits` / `ledger_digest` /
+//!   `decision_fingerprint` / `span_stream_fnv`), which are host- and
+//!   thread-count-shaped. Setting `PDFTSP_BENCH_STRICT=1` promotes
+//!   warnings to failures.
 //!
 //! Pool dispatch overhead and the service throughputs are compared only
 //! when both `BENCH_service.json` files record the same
@@ -23,9 +22,11 @@
 //! host, so the gate warns with the two shapes instead.
 //!
 //! The parser is a dependency-free key scanner: for every occurrence of
-//! `"key":` it reads the literal that follows, in document order. Both
-//! emitters write keys in a fixed order, so pairwise comparison by
-//! position is well-defined.
+//! `"key":` it reads the literal that follows, in document order. Rows
+//! of the per-rate, per-worker and per-seed arrays are paired by their
+//! key field (`offered_rate_per_s`, `workers`, `seed`), not by
+//! position, so adding, dropping or reordering a row cannot misalign a
+//! comparison.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -83,6 +84,33 @@ fn literals_for(text: &str, key: &str) -> Vec<String> {
     out
 }
 
+/// The `{…}` rows of the JSON array after the first `"array":`, as raw
+/// text (the emitters write no braces inside strings).
+fn rows<'a>(text: &'a str, array: &str) -> Vec<&'a str> {
+    let needle = format!("\"{array}\":");
+    let Some(body) = text
+        .split_once(&needle)
+        .and_then(|(_, r)| r.split_once('['))
+    else {
+        return Vec::new();
+    };
+    let (mut out, mut depth, mut start) = (Vec::new(), 0usize, 0usize);
+    for (i, c) in body.1.char_indices() {
+        match c {
+            '{' if depth == 0 => (start, depth) = (i, 1),
+            '{' => depth += 1,
+            '}' if depth == 1 => {
+                out.push(&body.1[start..=i]);
+                depth = 0;
+            }
+            '}' => depth = depth.saturating_sub(1),
+            ']' if depth == 0 => break,
+            _ => {}
+        }
+    }
+    out
+}
+
 struct Gate {
     failures: Vec<String>,
     warnings: Vec<String>,
@@ -125,6 +153,73 @@ impl Gate {
                 } else {
                     self.warn(msg);
                 }
+            }
+        }
+    }
+}
+
+impl Gate {
+    /// Rows of `array` paired across the two documents by the literal
+    /// of their `id` field (the first row wins for a repeated id). Rows
+    /// on one side only are warned about and left out.
+    fn pair<'a>(
+        &mut self,
+        file: &str,
+        base: &'a str,
+        fresh: &'a str,
+        array: &str,
+        id: &str,
+    ) -> Vec<(String, &'a str, &'a str)> {
+        let keyed = |text: &'a str| -> Vec<(String, &'a str)> {
+            let mut out: Vec<(String, &'a str)> = Vec::new();
+            for row in rows(text, array) {
+                let key = literals_for(row, id).into_iter().next();
+                if let Some(key) = key.filter(|k| out.iter().all(|(o, _)| o != k)) {
+                    out.push((key, row));
+                }
+            }
+            out
+        };
+        let (b, f) = (keyed(base), keyed(fresh));
+        for (side, only, other) in [("baseline", &b, &f), ("fresh", &f, &b)] {
+            for (key, _) in only
+                .iter()
+                .filter(|(k, _)| other.iter().all(|(o, _)| o != k))
+            {
+                self.warn(format!(
+                    "{file}: `{array}` row {id}={key} is in the {side} only — not compared"
+                ));
+            }
+        }
+        b.into_iter()
+            .filter_map(|(key, brow)| {
+                let frow = f.iter().find(|(k, _)| *k == key)?.1;
+                Some((key, brow, frow))
+            })
+            .collect()
+    }
+
+    /// Warns, once per key, when a string digest differs between paired
+    /// rows.
+    fn check_digests(&mut self, file: &str, pairs: &[(String, &str, &str)], keys: &[&str]) {
+        for key in keys {
+            self.checks += 1;
+            let moved: Vec<String> = pairs
+                .iter()
+                .filter(|(_, b, f)| strings_for(b, key) != strings_for(f, key))
+                .map(|(row, b, f)| {
+                    format!(
+                        "{row}: {:?} -> {:?}",
+                        strings_for(b, key),
+                        strings_for(f, key)
+                    )
+                })
+                .collect();
+            if !moved.is_empty() {
+                self.warn(format!(
+                    "{file}: `{key}` changed ({}) — economics drifted",
+                    moved.join(", ")
+                ));
             }
         }
     }
@@ -179,16 +274,14 @@ fn check_service(gate: &mut Gate, base: &str, fresh: &str) {
         .iter()
         .all(|k| numbers_for(base, k) == numbers_for(fresh, k));
     if shape_matches {
-        for key in ["welfare_bits", "ledger_digest", "decision_fingerprint"] {
-            let b = strings_for(base, key);
-            let f = strings_for(fresh, key);
-            gate.checks += 1;
-            if b != f {
-                gate.warn(format!(
-                    "{file}: `{key}` changed ({b:?} -> {f:?}) — economics drifted"
-                ));
-            }
-        }
+        let pairs = gate.pair(file, base, fresh, "determinism", "workers");
+        let keys = [
+            "welfare_bits",
+            "ledger_digest",
+            "decision_fingerprint",
+            "span_stream_fnv",
+        ];
+        gate.check_digests(file, &pairs, &keys);
     } else {
         gate.warn(format!(
             "{file}: run shape differs from baseline — skipping digest comparison"
@@ -211,18 +304,10 @@ fn check_service(gate: &mut Gate, base: &str, fresh: &str) {
         ));
         return;
     }
-    for key in [
-        "sustained_decisions_per_s",
-        "pipelined_decisions_per_s",
-        "pipeline_speedup",
-    ] {
-        gate.check_drop(
-            file,
-            key,
-            &numbers_for(base, key),
-            &numbers_for(fresh, key),
-            false,
-        );
+    let key = "sustained_decisions_per_s";
+    for (rate, b, f) in gate.pair(file, base, fresh, "open_loop", "offered_rate_per_s") {
+        let (b, f) = (numbers_for(b, key), numbers_for(f, key));
+        gate.check_drop(file, &format!("{key}[{rate}/s]"), &b, &f, false);
     }
     // Pool dispatch overhead: smaller is better, relative + absolute
     // slack (same shape as the span-overhead gate, in nanoseconds).
@@ -247,9 +332,9 @@ fn check_service(gate: &mut Gate, base: &str, fresh: &str) {
 fn check_spot(gate: &mut Gate, base: &str, fresh: &str) {
     let file = "BENCH_spot.json";
     // The fresh determinism block must be *internally* identical: every
-    // {workers} × {pipeline} row carries the same welfare bits, refund
-    // bits, ledger digest, and decision fingerprint. The emitter asserts
-    // this too; re-checking here catches a hand-edited artifact.
+    // worker row carries the same welfare bits, refund bits, ledger
+    // digest, and decision fingerprint. The emitter asserts this too;
+    // re-checking here catches a hand-edited artifact.
     for key in [
         "welfare_bits",
         "refund_bits",
@@ -260,7 +345,7 @@ fn check_spot(gate: &mut Gate, base: &str, fresh: &str) {
         gate.checks += 1;
         if rows.windows(2).any(|w| w[0] != w[1]) {
             gate.fail(format!(
-                "{file}: determinism `{key}` differs across worker/pipeline rows: {rows:?}"
+                "{file}: determinism `{key}` differs across worker rows: {rows:?}"
             ));
         }
     }
@@ -276,32 +361,26 @@ fn check_spot(gate: &mut Gate, base: &str, fresh: &str) {
         return;
     }
     // Numeric digests: welfare and refund volume per seed and system
-    // (document order pairs pdFTSP/baseline rows one-to-one).
-    for key in ["welfare", "refund_volume", "deadline_miss_rate"] {
-        let b = numbers_for(base, key);
-        let f = numbers_for(fresh, key);
-        gate.checks += 1;
-        if b != f {
-            gate.warn(format!(
-                "{file}: `{key}` digests changed ({b:?} -> {f:?}) — spot economics drifted"
-            ));
+    // (rows paired by seed; inside a row, pdFTSP precedes the baseline).
+    for (seed, b, f) in gate.pair(file, base, fresh, "comparison", "seed") {
+        for key in ["welfare", "refund_volume", "deadline_miss_rate"] {
+            let (bv, fv) = (numbers_for(b, key), numbers_for(f, key));
+            gate.checks += 1;
+            if bv != fv {
+                gate.warn(format!(
+                    "{file}: `{key}` at seed {seed} changed ({bv:?} -> {fv:?}) — spot economics drifted"
+                ));
+            }
         }
     }
-    for key in [
+    let pairs = gate.pair(file, base, fresh, "determinism", "workers");
+    let keys = [
         "welfare_bits",
         "refund_bits",
         "ledger_digest",
         "decision_fingerprint",
-    ] {
-        let b = strings_for(base, key);
-        let f = strings_for(fresh, key);
-        gate.checks += 1;
-        if b != f {
-            gate.warn(format!(
-                "{file}: determinism `{key}` changed ({b:?} -> {f:?})"
-            ));
-        }
-    }
+    ];
+    gate.check_digests(file, &pairs, &keys);
 }
 
 fn main() -> ExitCode {
@@ -414,14 +493,15 @@ mod tests {
         assert_eq!(gate.failures.len(), 1);
     }
 
-    fn service_doc(piped: f64, pool_ns: f64) -> String {
+    fn service_doc(sustained: f64, pool_ns: f64) -> String {
         format!(
             r#"{{
   "config": {{"shards": 2, "configured_threads": 1, "epoch_slots": 8}},
-  "rates": [{{"sustained_decisions_per_s": 140000.0,
-              "pipelined_decisions_per_s": {piped},
-              "pipeline_speedup": 1.0}}],
-  "determinism": [{{"welfare_bits": "40ce7a80a2a14858",
+  "open_loop": [
+    {{"offered_rate_per_s": 10000, "sustained_decisions_per_s": 9000.0}},
+    {{"offered_rate_per_s": 100000, "sustained_decisions_per_s": {sustained}}}
+  ],
+  "determinism": [{{"workers": 1, "welfare_bits": "40ce7a80a2a14858",
                     "ledger_digest": "11", "decision_fingerprint": "22"}}],
   "spawn_overhead": {{"pool_ns_per_task": {pool_ns}}}
 }}"#
@@ -480,14 +560,14 @@ mod tests {
             r#"{{
   "configured_threads": 1,
   "scenario": {{"horizon": 48, "nodes": 12, "tasks": 380}},
-  "comparison": [{{"pdftsp": {{"welfare": {welfare}, "refund_volume": 12.5,
+  "comparison": [{{"seed": 1, "pdftsp": {{"welfare": {welfare}, "refund_volume": 12.5,
                               "deadline_miss_rate": 0.1}},
                   "baseline": {{"welfare": 200.0, "refund_volume": 0.0,
                                 "deadline_miss_rate": 0.3}}}}],
   "determinism": [
-    {{"welfare_bits": "{bits}", "refund_bits": "aa", "ledger_digest": "bb",
+    {{"workers": 1, "welfare_bits": "{bits}", "refund_bits": "aa", "ledger_digest": "bb",
       "decision_fingerprint": "cc"}},
-    {{"welfare_bits": "{bits2}", "refund_bits": "aa", "ledger_digest": "bb",
+    {{"workers": 2, "welfare_bits": "{bits2}", "refund_bits": "aa", "ledger_digest": "bb",
       "decision_fingerprint": "cc"}}
   ]
 }}"#
@@ -522,6 +602,56 @@ mod tests {
         assert_eq!(gate.warnings.len(), 2, "{:?}", gate.warnings);
     }
 
+    /// Rows pair by their key field: a reordered fresh file compares
+    /// clean, a slower row is caught under its own rate, and a row on
+    /// one side only is reported instead of shifting every later pair.
+    #[test]
+    fn rows_are_paired_by_key_not_position() {
+        let base = service_doc(90_000.0, 600.0);
+        let reordered = base.replace(
+            r#"{"offered_rate_per_s": 10000, "sustained_decisions_per_s": 9000.0},
+    {"offered_rate_per_s": 100000, "sustained_decisions_per_s": 90000}"#,
+            r#"{"offered_rate_per_s": 100000, "sustained_decisions_per_s": 90000},
+    {"offered_rate_per_s": 10000, "sustained_decisions_per_s": 9000.0}"#,
+        );
+        assert_ne!(base, reordered, "the fixture rows were swapped");
+        let mut gate = Gate {
+            failures: Vec::new(),
+            warnings: Vec::new(),
+            checks: 0,
+            strict: false,
+        };
+        check_service(&mut gate, &base, &reordered);
+        assert!(gate.warnings.is_empty(), "{:?}", gate.warnings);
+        // A slow 100k row warns under its own key.
+        check_service(&mut gate, &base, &service_doc(50_000.0, 600.0));
+        assert_eq!(gate.warnings.len(), 1, "{:?}", gate.warnings);
+        assert!(
+            gate.warnings[0].contains("[100000/s]"),
+            "{:?}",
+            gate.warnings
+        );
+        // An extra fresh row is reported, and the shared rows still
+        // compare clean.
+        let extra = base.replace(
+            "\n  ],",
+            ",\n    {\"offered_rate_per_s\": 5, \"sustained_decisions_per_s\": 1.0}\n  ],",
+        );
+        let mut gate = Gate {
+            failures: Vec::new(),
+            warnings: Vec::new(),
+            checks: 0,
+            strict: false,
+        };
+        check_service(&mut gate, &base, &extra);
+        assert_eq!(gate.warnings.len(), 1, "{:?}", gate.warnings);
+        assert!(
+            gate.warnings[0].contains("fresh only"),
+            "{:?}",
+            gate.warnings
+        );
+    }
+
     #[test]
     fn pool_overhead_gate_fails_only_past_the_budget() {
         let base = service_doc(100_000.0, 600.0);
@@ -537,7 +667,7 @@ mod tests {
         // Past budget: hard failure.
         check_service(&mut gate, &base, &service_doc(100_000.0, 1200.0));
         assert_eq!(gate.failures.len(), 1);
-        // Pipelined throughput collapse is warn-only (host-shaped).
+        // A throughput collapse is warn-only (host-shaped).
         let mut gate = Gate {
             failures: Vec::new(),
             warnings: Vec::new(),

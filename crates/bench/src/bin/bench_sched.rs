@@ -4,9 +4,12 @@
 //! and a vendor-rich market.
 //!
 //! Methodology (see EXPERIMENTS.md "Scheduler hot-path benchmark"): each
-//! pipeline runs the full online loop end-to-end `REPS` times; every
-//! `decide()` call contributes one latency sample (the same
-//! `decide_seconds` that drives the paper's Fig. 13 CDF). "DP cells" is a
+//! pipeline runs the full online loop end-to-end `REPS` times, the two
+//! pipelines' days paired back to back; every `decide()` call
+//! contributes one latency sample (the same `decide_seconds` that drives
+//! the paper's Fig. 13 CDF). The speedups are medians of the per-pair
+//! reference/optimized ratios, so host drift between pairs cancels
+//! inside each ratio. "DP cells" is a
 //! workload-derived model — Σ over (task, vendor) of
 //! `(window + 1) × (w_target + 1) × compatible_nodes` at the coarse
 //! refinement — so both pipelines divide the *same* cell count by their
@@ -22,7 +25,9 @@ use pdftsp_types::Scenario;
 use pdftsp_workload::{ArrivalProcess, ScenarioBuilder};
 use std::sync::Arc;
 
-const REPS: usize = 5;
+/// Paired reference/optimized days per market. Odd, so each median is
+/// one pair's ratio.
+const REPS: usize = 9;
 const COARSE_REFINEMENT: u64 = 8;
 
 fn scenario(preprocessing_prob: f64, num_vendors: usize) -> Scenario {
@@ -119,19 +124,38 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn run_pipeline(sc: &Scenario, cfg: PdftspConfig) -> PipelineStats {
-    let mut samples: Vec<f64> = Vec::new();
-    let mut welfare = 0.0;
-    let mut admitted = 0;
-    let mut work = None;
-    for _ in 0..REPS {
-        let mut s = Pdftsp::new(sc, cfg);
-        let r = run_scheduler(sc, &mut s);
-        samples.extend(r.decisions.iter().map(|d| d.decide_seconds));
-        welfare = r.welfare.social_welfare;
-        admitted = r.welfare.admitted;
-        work = Some(WorkStats::from_scheduler(&s));
-    }
+/// One day's decide latencies (seconds), welfare, admissions and
+/// hot-path work.
+type Day = (Vec<f64>, f64, usize, WorkStats);
+
+fn run_day(sc: &Scenario, cfg: PdftspConfig) -> Day {
+    let mut s = Pdftsp::new(sc, cfg);
+    let r = run_scheduler(sc, &mut s);
+    let latencies = r.decisions.iter().map(|d| d.decide_seconds).collect();
+    let work = WorkStats::from_scheduler(&s);
+    (
+        latencies,
+        r.welfare.social_welfare,
+        r.welfare.admitted,
+        work,
+    )
+}
+
+fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    percentile(&sorted, 0.5)
+}
+
+fn mean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len().max(1) as f64
+}
+
+/// Pools one pipeline's days; every rep does identical work, so the
+/// economics and work counters come from the last.
+fn run_pipeline(days: Vec<Day>) -> PipelineStats {
+    let mut samples: Vec<f64> = days.iter().flat_map(|d| d.0.iter().copied()).collect();
+    let (_, welfare, admitted, work) = days.into_iter().last().expect("REPS > 0");
     let total_s: f64 = samples.iter().sum();
     let mean_us = total_s / samples.len().max(1) as f64 * 1e6;
     samples.sort_by(f64::total_cmp);
@@ -143,7 +167,7 @@ fn run_pipeline(sc: &Scenario, cfg: PdftspConfig) -> PipelineStats {
         samples: samples.len(),
         welfare,
         admitted,
-        work: work.expect("REPS > 0"),
+        work,
     }
 }
 
@@ -179,8 +203,28 @@ fn stats_json(s: &PipelineStats, cells: u64) -> String {
 
 fn market_json(name: &str, sc: &Scenario) -> String {
     let cells = dp_cell_model(sc);
-    let opt = run_pipeline(sc, PdftspConfig::default());
-    let reference = run_pipeline(sc, PdftspConfig::default().reference());
+    let (opt_cfg, ref_cfg) = (PdftspConfig::default(), PdftspConfig::default().reference());
+    let (mut opt_days, mut ref_days) = (Vec::new(), Vec::new());
+    for rep in 0..REPS {
+        // Alternate which pipeline runs first, as `span_overhead` does.
+        if rep % 2 == 0 {
+            opt_days.push(run_day(sc, opt_cfg));
+        }
+        ref_days.push(run_day(sc, ref_cfg));
+        if rep % 2 == 1 {
+            opt_days.push(run_day(sc, opt_cfg));
+        }
+    }
+    let paired = |stat: fn(&[f64]) -> f64| -> Vec<f64> {
+        let mut ratios: Vec<f64> = (opt_days.iter().zip(&ref_days))
+            .map(|(o, r)| stat(&r.0) / stat(&o.0).max(1e-12))
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        ratios
+    };
+    let (p50_ratios, mean_ratios) = (paired(median), paired(mean));
+    let opt = run_pipeline(opt_days);
+    let reference = run_pipeline(ref_days);
     // Decision equivalence holds end-to-end; a drift here means a bug.
     assert_eq!(
         opt.welfare.to_bits(),
@@ -188,8 +232,8 @@ fn market_json(name: &str, sc: &Scenario) -> String {
         "{name}: pipelines diverged"
     );
     assert_eq!(opt.admitted, reference.admitted, "{name}");
-    let speedup_p50 = reference.p50_us / opt.p50_us.max(1e-9);
-    let speedup_mean = reference.mean_us / opt.mean_us.max(1e-9);
+    let speedup_p50 = percentile(&p50_ratios, 0.5);
+    let speedup_mean = percentile(&mean_ratios, 0.5);
     println!(
         "{name}: optimized p50 {:.1} µs p99 {:.1} µs | reference p50 {:.1} µs p99 {:.1} µs | speedup p50 {speedup_p50:.2}x mean {speedup_mean:.2}x",
         opt.p50_us, opt.p99_us, reference.p50_us, reference.p99_us
@@ -202,6 +246,8 @@ fn market_json(name: &str, sc: &Scenario) -> String {
             "      \"optimized\": {},\n",
             "      \"reference\": {},\n",
             "      \"speedup_p50\": {:.3},\n",
+            "      \"speedup_p50_min\": {:.3},\n",
+            "      \"speedup_p50_max\": {:.3},\n",
             "      \"speedup_mean\": {:.3}\n",
             "    }}"
         ),
@@ -211,6 +257,8 @@ fn market_json(name: &str, sc: &Scenario) -> String {
         stats_json(&opt, cells),
         stats_json(&reference, cells),
         speedup_p50,
+        p50_ratios[0],
+        p50_ratios[REPS - 1],
         speedup_mean
     )
 }
